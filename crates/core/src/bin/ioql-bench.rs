@@ -9,10 +9,13 @@
 //! scheduler's admitted/serialized split per cell — and the B10
 //! snapshot matrix: the cost of acquiring a read snapshot (a COW chunk
 //! spine clone, what every admission pays) at 1k/10k/100k objects,
-//! against a clone-on-admit deep-copy baseline. The Criterion suites
-//! in `crates/bench` need the registry; this runner is dependency-free
-//! (`std::time::Instant`, hand-rolled JSON) so the perf trajectory
-//! stays machine-readable on offline machines.
+//! against a clone-on-admit deep-copy baseline — plus the ungated
+//! `micro` rows: the paper-claim microbenchmarks B1–B5 of
+//! EXPERIMENTS.md (static analysis, static vs dynamic non-determinism
+//! detection, optimizer payoff, small-step vs big-step, method
+//! dispatch) at the smaller sizes of each table. The runner is
+//! dependency-free (`std::time::Instant`, hand-rolled JSON) so the perf
+//! trajectory stays machine-readable on offline machines.
 //!
 //! ```sh
 //! ioql-bench                 # writes BENCH_10.json in the cwd
@@ -358,6 +361,303 @@ fn run_snapshot_cell(n: usize) -> SnapCell {
     cell
 }
 
+// ---------------------------------------------------------------------
+// B1–B5 — the paper-claim microbenchmarks (EXPERIMENTS.md), at the
+// smaller sizes of each table so the whole set runs in seconds. Every
+// row is the best-of-five mean per call; none is gated — the rows record
+// shapes (linear analysis, flat static check vs factorial enumeration,
+// optimizer payoff, small-step vs big-step, method dispatch).
+
+/// The §1 schema: `P` (extent `Ps`) with the non-terminating `loop()`
+/// method, and `F` (extent `Fs`) befriending a `P`.
+const JACK_JILL_DDL: &str = "
+    class P extends Object (extent Ps) {
+        attribute int name;
+        int loop() { while (true) { } return 0; }
+    }
+    class F extends Object (extent Fs) {
+        attribute int name;
+        attribute P pal;
+    }";
+
+/// The §1 interfering query: reads and adds to `Fs` in one body.
+const JACK_JILL_QUERY: &str =
+    "{ if size(Fs) = 0 then (new F(name: 0, pal: p)).name else p.name | p <- Ps }";
+
+/// The §5 account schema, read-only methods (the §3 discipline).
+const ACCOUNT_DDL: &str = "
+    class Acc extends Object (extent Accs) {
+        attribute int balance;
+        int fee(int pct) { return this.balance * pct; }
+        int recur(int k) {
+            if (k <= 0) { return 0; }
+            return this.fee(1) + this.recur(k - 1);
+        }
+    }";
+
+/// The same class with `Mode::Extended` methods: an update and an
+/// extent scan.
+const EXTENDED_ACCOUNT_DDL: &str = "
+    class Acc extends Object (extent Accs) {
+        attribute int balance;
+        int fee(int pct) { return this.balance * pct; }
+        int deposit(int amt) {
+            this.balance = this.balance + amt;
+            return this.balance;
+        }
+        int census() {
+            int c = 0;
+            for (x in Accs) { c = c + 1; }
+            return c;
+        }
+    }";
+
+struct MicroRow {
+    id: &'static str,
+    variant: String,
+    n: usize,
+    us: f64,
+}
+
+#[derive(Default)]
+struct Micro(Vec<MicroRow>);
+
+impl Micro {
+    /// Records the best-of-five mean wall-clock per call of `f`, in
+    /// microseconds, each sample a batch sized from one calibration
+    /// call to last ~2 ms.
+    fn time<T>(&mut self, id: &'static str, variant: &str, n: usize, mut f: impl FnMut() -> T) {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        let batch = ((2e-3 / t.elapsed().as_secs_f64().max(1e-9)) as usize).clamp(1, 10_000);
+        let mut us = f64::INFINITY;
+        for _ in 0..5 {
+            let t = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(f());
+            }
+            us = us.min(t.elapsed().as_secs_f64() * 1e6 / batch as f64);
+        }
+        eprintln!("[{id}] {variant} n={n}: {us:.2} µs");
+        let variant = variant.to_string();
+        self.0.push(MicroRow { id, variant, n, us });
+    }
+}
+
+/// A database over `ddl` whose extent `class` holds `n` objects, the
+/// k-th built as `new {class}({field}: k)`.
+fn populated(ddl: &str, mode: ioql::Mode, class: &str, field: &str, n: usize) -> Database {
+    let opts = DbOptions {
+        method_mode: mode,
+        ..DbOptions::default()
+    };
+    let mut db = Database::from_ddl_with(ddl, opts).expect("micro DDL");
+    let ks: Vec<String> = (1..=n).map(|k| k.to_string()).collect();
+    let populate = format!("{{ new {class}({field}: k) | k <- {{{}}} }}", ks.join(", "));
+    if n > 0 {
+        db.query(&populate).expect("micro population");
+    }
+    db
+}
+
+/// A jack-jill database with `n` objects in `Ps`.
+fn ps(n: usize) -> Database {
+    populated(JACK_JILL_DDL, ioql::Mode::ReadOnly, "P", "name", n)
+}
+
+fn run_micro() -> Vec<MicroRow> {
+    use ioql::effects::{infer_query, EffectEnv};
+    use ioql::eval::{eval_big, evaluate, explore_outcomes, DefEnv, EvalConfig, Evaluated};
+    use ioql::opt::{optimize, OptOptions, Stats};
+    use ioql::types::{check_query, TypeEnv};
+    use ioql::{Discipline, FirstChooser, Program, Query, RandomChooser};
+
+    const FUEL: u64 = 100_000_000;
+    let resolve = |db: &Database, src: &str| {
+        db.schema()
+            .resolve_query(&ioql::syntax::parse_query(src).unwrap())
+    };
+    let elaborate = |db: &Database, src: &str| {
+        check_query(&TypeEnv::new(db.schema()), &resolve(db, src))
+            .unwrap()
+            .0
+    };
+    // The small-step machine (or, with `big`, the big-step evaluator) on
+    // a fresh copy of the store, like every B3/B4 row.
+    let eval = |db: &Database, q: &Query, big: bool| -> Evaluated {
+        let cfg = EvalConfig::new(db.schema());
+        let (defs, mut store) = (DefEnv::new(), db.store().clone());
+        if !big {
+            return evaluate(&cfg, &defs, &mut store, q, &mut FirstChooser, FUEL).unwrap();
+        }
+        let r = eval_big(&cfg, &defs, &mut store, q, &mut FirstChooser, FUEL).unwrap();
+        Evaluated {
+            value: r.value,
+            effect: r.effect,
+            steps: 0,
+        }
+    };
+    let mut m = Micro::default();
+
+    // B1 — parse, Figure 1 typing and Figure 3 effect inference grow
+    // linearly with a union of `n` filtered comprehensions.
+    let empty = ps(0);
+    let (tenv, eenv) = (TypeEnv::new(empty.schema()), EffectEnv::new(empty.schema()));
+    for n in [1usize, 4] {
+        let arms: Vec<String> = (0..n)
+            .map(|i| format!("{{ p.name + {i} | p <- Ps, p.name < {i} }}"))
+            .collect();
+        let src = arms.join(" union ");
+        let (resolved, elab) = (resolve(&empty, &src), elaborate(&empty, &src));
+        m.time("B1-analysis", "parse", n, || {
+            ioql::syntax::parse_query(&src).unwrap()
+        });
+        m.time("B1-analysis", "typecheck-fig1", n, || {
+            check_query(&tenv, &resolved).unwrap()
+        });
+        m.time("B1-analysis", "effects-fig3", n, || {
+            infer_query(&eenv, &elab).unwrap()
+        });
+    }
+
+    // B2 — the `⊢'` static check stays flat while exhaustive
+    // enumeration of every `(ND comp)` order grows factorially.
+    for n in [2usize, 3] {
+        let db = ps(n);
+        let elab = elaborate(&db, JACK_JILL_QUERY);
+        let det = EffectEnv::new(db.schema()).with_discipline(Discipline::deterministic());
+        let (cfg, store) = (EvalConfig::new(db.schema()), db.store().clone());
+        assert!(
+            infer_query(&det, &elab).is_err(),
+            "⊢' must reject the §1 query"
+        );
+        m.time("B2-nondet", "static-check", n, || {
+            infer_query(&det, &elab).is_err()
+        });
+        m.time("B2-nondet", "dynamic-exhaustive", n, || {
+            let ex = explore_outcomes(&cfg, &DefEnv::new(), &store, &elab, 1_000_000, 100_000);
+            assert!(ex.distinct_outcomes().len() >= 2);
+        });
+    }
+
+    // B3 — predicate promotion turns the late-filter join from O(n²)
+    // head work into O(n·k); the rewrite itself is cheap. The n = 24
+    // ablation isolates each rule.
+    let late_filter = "{ x.name + y.name | x <- Ps, y <- Ps, x.name < 3 }";
+    let rewrite = |db: &Database, elab: &Query, opts: OptOptions| {
+        let mut stats = Stats::new();
+        for (e, _, members) in db.store().extents.iter() {
+            stats.set(e.clone(), members.len());
+        }
+        optimize(db.schema(), &Program::query_only(elab.clone()), stats, opts)
+            .0
+            .query
+    };
+    for n in [8usize, 16] {
+        let db = ps(n);
+        let elab = elaborate(&db, late_filter);
+        let opt = rewrite(&db, &elab, OptOptions::default());
+        assert_eq!(eval(&db, &elab, false).value, eval(&db, &opt, false).value);
+        m.time("B3-optimizer", "naive", n, || eval(&db, &elab, false));
+        m.time("B3-optimizer", "optimized", n, || eval(&db, &opt, false));
+        m.time("B3-optimizer", "rewrite-cost", n, || {
+            rewrite(&db, &elab, OptOptions::default())
+        });
+    }
+    let db = ps(24);
+    let elab = elaborate(&db, late_filter);
+    let only = |set: fn(&mut OptOptions)| {
+        let mut o = OptOptions {
+            max_rewrites: 10_000,
+            ..OptOptions::none()
+        };
+        set(&mut o);
+        o
+    };
+    for (variant, opts) in [
+        ("ablation-none", OptOptions::none()),
+        ("ablation-fold-only", only(|o| o.fold_constants = true)),
+        (
+            "ablation-promote-only",
+            only(|o| o.promote_predicates = true),
+        ),
+        ("ablation-unnest-only", only(|o| o.unnest_generators = true)),
+        ("ablation-all", OptOptions::default()),
+    ] {
+        let q = rewrite(&db, &elab, opts);
+        m.time("B3-optimizer", variant, 24, || eval(&db, &q, false));
+    }
+
+    // B4 — executing Figure 2 literally: the small-step machine re-walks
+    // the evaluation context per step, the big-step evaluator does not.
+    for n in [10usize, 100] {
+        let db = ps(n);
+        let scan = elaborate(&db, "{ x.name | x <- Ps }");
+        let filter = elaborate(&db, &format!("{{ x.name | x <- Ps, x.name < {} }}", n / 2));
+        m.time("B4-machine", "scan-smallstep", n, || {
+            eval(&db, &scan, false)
+        });
+        m.time("B4-machine", "scan-bigstep", n, || eval(&db, &scan, true));
+        m.time("B4-machine", "scan+filter-smallstep", n, || {
+            eval(&db, &filter, false)
+        });
+    }
+    let db = ps(200);
+    let scan = elaborate(&db, "{ x.name | x <- Ps }");
+    let cfg = EvalConfig::new(db.schema());
+    m.time("B4-machine", "chooser-first", 200, || {
+        eval(&db, &scan, false)
+    });
+    m.time("B4-machine", "chooser-random", 200, || {
+        let (mut store, mut ch) = (db.store().clone(), RandomChooser::seeded(9));
+        evaluate(&cfg, &DefEnv::new(), &mut store, &scan, &mut ch, FUEL).unwrap()
+    });
+    for n in [4usize, 8] {
+        let db = ps(n);
+        let cross = elaborate(&db, "{ x.name + y.name | x <- Ps, y <- Ps }");
+        m.time("B4-machine", "cross-product", n, || {
+            eval(&db, &cross, false)
+        });
+    }
+    for n in [32usize, 256] {
+        let chain = (0..n as i64).fold(Query::int(0), |q, i| q.add(Query::int(i)));
+        m.time("B4-machine", "arith-chain", n, || {
+            eval(&empty, &chain, false)
+        });
+    }
+
+    // B5 — the §5 method design space, through the whole `Database`
+    // pipeline on a fresh clone per call.
+    let ro = populated(ACCOUNT_DDL, ioql::Mode::ReadOnly, "Acc", "balance", 10);
+    let ext = populated(
+        EXTENDED_ACCOUNT_DDL,
+        ioql::Mode::Extended,
+        "Acc",
+        "balance",
+        10,
+    );
+    for (variant, db, q) in [
+        ("read-only-call", &ro, "{ a.fee(3) | a <- Accs }"),
+        ("inline-equivalent", &ro, "{ a.balance * 3 | a <- Accs }"),
+        ("extended-update-call", &ext, "{ a.deposit(1) | a <- Accs }"),
+        ("extended-extent-scan", &ext, "{ a.census() | a <- Accs }"),
+    ] {
+        m.time("B5-methods", variant, 10, || db.clone().query(q).unwrap());
+    }
+    let one = populated(ACCOUNT_DDL, ioql::Mode::ReadOnly, "Acc", "balance", 1);
+    for depth in [10usize, 100] {
+        let q = format!("{{ a.recur({depth}) | a <- Accs }}");
+        m.time("B5-methods", "recursion-depth", depth, || {
+            one.clone().query(&q).unwrap()
+        });
+    }
+    let schema = ext.schema();
+    m.time("B5-methods", "effect-table-fixpoint", 1, || {
+        ioql::methods::effect_table(schema)
+    });
+    m.0
+}
+
 fn main() {
     let mut out_path = String::from("BENCH_10.json");
     let mut args = std::env::args().skip(1);
@@ -385,6 +685,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     eprintln!("host parallelism: {host}; licensed pool size: {PAR}");
+
+    let micro = run_micro();
 
     let rows = [
         // B6's join workload (nested generators): the inner scan's head
@@ -474,7 +776,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"BENCH_10\",\n");
-    json.push_str("  \"description\": \"interpreted vs compiled (bytecode VM) x sequential vs parallel (Engine::Plan, cache off), the B9 serve matrix (wire clients x workload against one admission-scheduled kernel), and the B10 snapshot matrix (COW spine-clone acquisition vs a clone-on-admit deep-copy baseline, by store size)\",\n");
+    json.push_str("  \"description\": \"interpreted vs compiled (bytecode VM) x sequential vs parallel (Engine::Plan, cache off), the B9 serve matrix (wire clients x workload against one admission-scheduled kernel), the B10 snapshot matrix (COW spine-clone acquisition vs a clone-on-admit deep-copy baseline, by store size), and the ungated B1-B5 micro rows (best-of-5 mean microseconds per call)\",\n");
     json.push_str(&format!("  \"host_parallelism\": {host},\n"));
     json.push_str(&format!("  \"pool_size\": {PAR},\n"));
     json.push_str(&format!(
@@ -537,6 +839,18 @@ fn main() {
             s.deep_copy_ns,
             s.cow_advantage(),
             if i + 1 < snaps.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"micro\": [\n");
+    for (i, m) in micro.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{ \"id\": \"{}\", \"variant\": \"{}\", \"n\": {}, \"us\": {:.3} }}{}\n",
+            m.id,
+            m.variant,
+            m.n,
+            m.us,
+            if i + 1 < micro.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

@@ -185,6 +185,10 @@ fn main() {
         // Compilation lives in the plan executor, like parallelism.
         opts.engine = ioql::Engine::Plan;
     }
+    if durable.is_some() {
+        // Per-commit fsync: every acknowledged mutation survives kill -9.
+        opts.durability = ioql::Durability::Commit;
+    }
     let ddl = match &ddl_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(s) => s,
@@ -203,8 +207,6 @@ fn main() {
         }
     };
     if let Some(dir) = durable {
-        // Per-commit fsync: every acknowledged mutation survives kill -9.
-        db.set_durability(ioql::Durability::Commit);
         match db.attach_durable(std::path::Path::new(&dir)) {
             Ok(report) => println!("durable: {report}"),
             Err(e) => {
@@ -447,15 +449,17 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
                 rest.trim()
             ))
         })?;
-        db.set_parallelism(n);
+        let mut opts = db.options();
+        opts.parallelism = n;
         if n >= 2 {
             // Parallel execution only exists on the plan engine; the
             // interpreters ignore the pool size.
-            db.set_engine(ioql::Engine::Plan);
+            opts.engine = ioql::Engine::Plan;
             println!("parallelism set to {n} (engine: plan)");
         } else {
             println!("parallelism set to {n} (off)");
         }
+        db.set_options(opts);
         return Ok(());
     }
     if let Some(rest) = line.strip_prefix(":compile ") {
@@ -468,14 +472,16 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
                 )))
             }
         };
-        db.set_compile(on);
+        let mut opts = db.options();
+        opts.compile = on;
         if on {
             // The compile tier only exists on the plan engine.
-            db.set_engine(ioql::Engine::Plan);
+            opts.engine = ioql::Engine::Plan;
             println!("compile on (engine: plan)");
         } else {
             println!("compile off");
         }
+        db.set_options(opts);
         return Ok(());
     }
     if line == ":metrics" {
@@ -496,7 +502,7 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
         println!(
             "parallel: pool {} — {} run(s) (scan {}, index build {}, set op {}), \
              {} chunk(s), {} fallback(s) (chooser {}, budget {}, tiny {})",
-            db.parallelism(),
+            db.options().parallelism,
             p.par_scans.get() + p.par_index_builds.get() + p.par_set_ops.get(),
             p.par_scans.get(),
             p.par_index_builds.get(),
@@ -510,7 +516,7 @@ fn run_line(db: &mut Database, line: &str) -> Result<(), DbError> {
         let v = &db.metrics().vm;
         println!(
             "vm: compile {} — {} node(s) compiled, {} interpreted, {} row(s) dispatched",
-            if db.compile() { "on" } else { "off" },
+            if db.options().compile { "on" } else { "off" },
             v.compiles.get(),
             v.fallbacks.get(),
             v.dispatches.get()

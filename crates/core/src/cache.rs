@@ -22,7 +22,8 @@ use ioql_ast::{ExtentName, Query, Value};
 use ioql_effects::Effect;
 use ioql_store::Store;
 use ioql_telemetry::Counter;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// One memoized result.
 #[derive(Clone, Debug)]
@@ -38,7 +39,7 @@ pub(crate) struct CacheEntry {
     pub runtime_effect: Effect,
     /// Evaluation cells the original run charged to its governor. A hit
     /// re-charges these so resource accounting cannot be laundered
-    /// through the cache (see `Database::query_governed`).
+    /// through the cache (see `Database::run`).
     pub cells: u64,
 }
 
@@ -64,10 +65,14 @@ pub struct CacheStats {
 /// order bounds residency when many distinct queries flow through.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct QueryCache {
-    map: HashMap<Query, CacheEntry>,
-    /// Insertion order; may contain keys already removed from `map` by
-    /// lazy stale-eviction — skipped when they surface at the front.
-    order: VecDeque<Query>,
+    /// Each live entry with its insertion sequence number.
+    map: HashMap<Query, (u64, CacheEntry)>,
+    /// The live keys by insertion sequence — exactly the keys of `map`,
+    /// oldest first. A stale eviction removes its key here too, so a
+    /// key that writes keep invalidating occupies one slot, and the
+    /// FIFO front is always the oldest *live* entry.
+    order: BTreeMap<u64, Query>,
+    next_seq: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -102,7 +107,7 @@ impl QueryCache {
             return None;
         }
         match self.map.get(key) {
-            Some(entry)
+            Some((_, entry))
                 if entry
                     .versions
                     .iter()
@@ -112,8 +117,9 @@ impl QueryCache {
                 self.m_hits.inc();
                 Some(entry.clone())
             }
-            Some(_) => {
+            Some(&(seq, _)) => {
                 self.map.remove(key);
+                self.order.remove(&seq);
                 self.misses += 1;
                 self.m_misses.inc();
                 self.evictions += 1;
@@ -128,25 +134,28 @@ impl QueryCache {
         }
     }
 
-    /// Inserts (or refreshes) an entry, evicting oldest-first past
-    /// capacity.
+    /// Inserts (or refreshes in place, keeping its FIFO position) an
+    /// entry, evicting oldest-first past capacity.
     pub fn insert(&mut self, key: Query, entry: CacheEntry) {
         if self.capacity == 0 {
             return;
         }
-        if self.map.insert(key.clone(), entry).is_none() {
-            self.order.push_back(key);
+        match self.map.entry(key) {
+            Entry::Occupied(mut live) => live.get_mut().1 = entry,
+            Entry::Vacant(slot) => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.order.insert(seq, slot.key().clone());
+                slot.insert((seq, entry));
+            }
         }
         while self.map.len() > self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    if self.map.remove(&old).is_some() {
-                        self.evictions += 1;
-                        self.m_evictions.inc();
-                    }
-                }
-                None => break, // unreachable: map entries all pass through order
-            }
+            let Some((_, oldest)) = self.order.pop_first() else {
+                break; // unreachable: `order` holds every key of `map`
+            };
+            self.map.remove(&oldest);
+            self.evictions += 1;
+            self.m_evictions.inc();
         }
     }
 
@@ -220,6 +229,39 @@ mod tests {
         cache.insert(key(1), entry(&[]));
         assert!(cache.lookup(&key(1), &store).is_none());
         assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn invalidation_churn_keeps_order_bounded_and_evicts_oldest_live() {
+        let persons = ExtentName::new("Persons");
+        let mut store = Store::new();
+        store.declare_extent(persons.clone(), ioql_ast::ClassName::new("Person"));
+        let fresh = |store: &Store| entry(&[("Persons", store.extent_version(&persons))]);
+        let mut cache = QueryCache::new(4);
+        cache.insert(key(0), fresh(&store));
+        cache.insert(key(1), entry(&[]));
+        // A hot key that writes keep invalidating: each round evicts it
+        // as stale and re-inserts it.
+        for _ in 0..10_000 {
+            store.bump_version(&persons);
+            assert!(cache.lookup(&key(0), &store).is_none());
+            cache.insert(key(0), fresh(&store));
+            assert!(
+                cache.order.len() <= 4,
+                "order grew to {}",
+                cache.order.len()
+            );
+        }
+        cache.insert(key(2), entry(&[]));
+        cache.insert(key(3), entry(&[]));
+        cache.insert(key(4), entry(&[]));
+        // Key 0's first insertion went stale long ago; the oldest live
+        // entry is key 1, and that is the one capacity evicts.
+        assert!(cache.lookup(&key(1), &store).is_none());
+        for k in [0, 2, 3, 4] {
+            assert!(cache.lookup(&key(k), &store).is_some(), "key {k} evicted");
+        }
+        assert_eq!(cache.order.len(), 4);
     }
 
     #[test]

@@ -79,10 +79,10 @@ pub struct DbOptions {
     /// Which evaluator executes queries.
     pub engine: Engine,
     /// Resource limits enforced per query (deadline, cell/cardinality/
-    /// growth budgets). [`Limits::none()`] by default. Each `query*`
-    /// call runs under a fresh [`Governor`] built from these limits;
-    /// use [`Database::query_governed`] to share one governor (and its
-    /// cancellation token) across calls.
+    /// growth budgets). [`Limits::none()`] by default. Each query runs
+    /// under a fresh [`Governor`] built from these limits; pass one
+    /// through [`RunArgs::governor`] to share it (and its cancellation
+    /// token) across calls.
     pub limits: Limits,
     /// Capacity (in entries) of the effect-keyed query-result cache;
     /// `0` disables caching. Only queries whose inferred effect passes
@@ -91,14 +91,20 @@ pub struct DbOptions {
     /// see [`crate::cache`].
     pub cache_capacity: usize,
     /// Enable the telemetry registry: cache/governor/engine counters,
-    /// per-phase lifecycle histograms, `:metrics` exposition. Off by
-    /// default; when off every handle is a no-op and no clock is read.
+    /// per-phase lifecycle histograms (fed from each query's finished
+    /// [`TraceRecord`]), `:metrics` exposition. Off by default; when off
+    /// every handle is a no-op and no clock is read.
     /// Telemetry is **semantics-transparent** either way — nothing
     /// recorded feeds back into evaluation (see `tests/telemetry.rs`).
     pub telemetry: bool,
-    /// Write structured JSONL events (query span begin/end + counter
-    /// snapshots) to this path. Implies nothing about `telemetry`; the
-    /// counter snapshots are only non-zero when it is on.
+    /// Write structured JSONL events to this path: per query, a span
+    /// begin/end pair and a counter snapshot (plus the `slow_query`
+    /// record, see [`DbOptions::slow_query_ms`]). Every line is derived
+    /// from the query's finished [`TraceRecord`] — the kernel records
+    /// one whenever a sink is attached, with or without a ring
+    /// ([`DbOptions::trace_capacity`]). Implies nothing about
+    /// `telemetry`; the counter snapshots are only non-zero when it is
+    /// on.
     pub telemetry_jsonl: Option<std::path::PathBuf>,
     /// Worker-pool size for effect-licensed parallel execution on the
     /// `Plan` engine (`0` = off, the default; `1` = a degenerate pool —
@@ -165,11 +171,12 @@ pub struct DbOptions {
     pub trace_capacity: usize,
     /// Slow-query threshold: when set together with
     /// [`DbOptions::telemetry_jsonl`], any query whose wall-clock
-    /// `elapsed` (scheduler wait included) reaches this many
-    /// milliseconds has its full [`TraceRecord`] emitted to the JSONL
-    /// sink as a `slow_query` event. Requires `trace_capacity > 0`
-    /// (the record must exist to be logged). `None` (the default)
-    /// disables the slow-query log.
+    /// `elapsed` (scheduler wait included — the record's `total_ns`)
+    /// reaches this many milliseconds has its full [`TraceRecord`]
+    /// emitted to the JSONL sink as a `slow_query` event. No ring is
+    /// needed: the record exists whenever a sink is attached, and it
+    /// carries `seq = 0` when `trace_capacity = 0`. `None` (the
+    /// default) disables the slow-query log.
     pub slow_query_ms: Option<u64>,
 }
 
@@ -226,12 +233,9 @@ pub struct DbMetrics {
     pub cache_misses: Counter,
     /// Query-cache evictions (capacity and staleness).
     pub cache_evictions: Counter,
-    pub(crate) phase_parse: Histogram,
-    pub(crate) phase_typecheck: Histogram,
-    pub(crate) phase_effect: Histogram,
-    pub(crate) phase_optimize: Histogram,
-    pub(crate) phase_lower: Histogram,
-    pub(crate) phase_execute: Histogram,
+    /// `ioql_phase_duration_ns{phase}`, one histogram per pipeline span
+    /// name in [`PHASES`] — fed only from finished trace records.
+    phases: [Histogram; PHASES.len()],
     /// Governor charge/trip counters (shared with every [`Governor`]
     /// built by [`Database::governor`]).
     pub governor: GovernorMetrics,
@@ -300,7 +304,7 @@ impl DbMetrics {
             ("ioql_cache_misses_total", "Query-result cache misses."),
             (
                 "ioql_cache_evictions_total",
-                "Query-result cache LRU evictions.",
+                "Query-result cache evictions (FIFO capacity and stale entries).",
             ),
             (
                 "ioql_phase_duration_ns",
@@ -393,9 +397,6 @@ impl DbMetrics {
             registry.describe(family, help);
         }
         let c = |name: &str| registry.counter(name);
-        let h = |phase: &str| {
-            registry.histogram(&format!("ioql_phase_duration_ns{{phase=\"{phase}\"}}"))
-        };
         DbMetrics {
             queries: c("ioql_queries_total"),
             rollbacks: c("ioql_rollbacks_total"),
@@ -403,12 +404,9 @@ impl DbMetrics {
             cache_hits: c("ioql_cache_hits_total"),
             cache_misses: c("ioql_cache_misses_total"),
             cache_evictions: c("ioql_cache_evictions_total"),
-            phase_parse: h("parse"),
-            phase_typecheck: h("typecheck"),
-            phase_effect: h("effect-infer"),
-            phase_optimize: h("optimize"),
-            phase_lower: h("lower"),
-            phase_execute: h("execute"),
+            phases: PHASES.map(|phase| {
+                registry.histogram(&format!("ioql_phase_duration_ns{{phase=\"{phase}\"}}"))
+            }),
             governor: GovernorMetrics {
                 checkpoints: c("ioql_governor_checkpoints_total"),
                 cell_charges: c("ioql_governor_charges_total{kind=\"cells\"}"),
@@ -454,6 +452,83 @@ impl DbMetrics {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
+
+    /// Feeds the timing histograms from one finished query record: each
+    /// [`PHASES`] span into its `ioql_phase_duration_ns` series, the
+    /// `sched-wait` and `snapshot-acquire` spans into
+    /// `ioql_sched_wait_ns` and `ioql_sched_snapshot_ns`. The record is
+    /// the only source — no kernel path times a phase any other way.
+    pub(crate) fn observe_record(&self, record: &TraceRecord) {
+        for span in &record.spans {
+            let histogram = match span.name.as_str() {
+                "sched-wait" => &self.sched.wait_ns,
+                "snapshot-acquire" => &self.sched.snapshot_ns,
+                name => match PHASES.iter().position(|p| *p == name) {
+                    Some(i) => &self.phases[i],
+                    None => continue,
+                },
+            };
+            histogram.observe_ns(span.dur_ns);
+        }
+    }
+}
+
+/// The pipeline spans with a `ioql_phase_duration_ns{phase}` series.
+const PHASES: [&str; 6] = [
+    "parse",
+    "typecheck",
+    "effect-infer",
+    "optimize",
+    "lower",
+    "execute",
+];
+
+/// The per-call arguments of [`Database::run`] and [`Session::run`].
+/// Every field is optional; [`RunArgs::default`] is what
+/// [`Database::query`] and [`Session::query`] pass.
+///
+/// ```no_run
+/// # fn demo(db: &mut ioql::Database) -> Result<(), ioql::DbError> {
+/// use ioql::{LastChooser, RunArgs};
+/// let governor = db.governor();
+/// let mut chooser = LastChooser;
+/// db.run(
+///     "{ p.name | p <- Persons }",
+///     RunArgs::default().chooser(&mut chooser).governor(&governor).trace_id("req-7"),
+/// )?;
+/// # Ok(()) }
+/// ```
+#[derive(Default)]
+pub struct RunArgs<'a> {
+    /// The `(ND comp)` strategy; [`FirstChooser`] when `None`.
+    pub chooser: Option<&'a mut dyn Chooser>,
+    /// The governor metering the call. When `None`: a fresh per-query
+    /// governor from [`DbOptions::limits`] — or, on a session with a
+    /// [`DbOptions::session_budget`], the session's budget governor.
+    pub governor: Option<&'a Governor>,
+    /// The caller's correlation ID, stamped into the query's trace
+    /// record (the wire protocol's `trace=ID`).
+    pub trace_id: Option<&'a str>,
+}
+
+impl<'a> RunArgs<'a> {
+    /// Runs with `chooser` as the `(ND comp)` strategy.
+    pub fn chooser(mut self, chooser: &'a mut dyn Chooser) -> Self {
+        self.chooser = Some(chooser);
+        self
+    }
+
+    /// Meters the run with a caller-owned `governor`.
+    pub fn governor(mut self, governor: &'a Governor) -> Self {
+        self.governor = Some(governor);
+        self
+    }
+
+    /// Stamps `trace_id` into the query's trace record.
+    pub fn trace_id(mut self, trace_id: &'a str) -> Self {
+        self.trace_id = Some(trace_id);
+        self
+    }
 }
 
 /// The result of one evaluated query.
@@ -480,7 +555,8 @@ pub struct QueryResult {
     /// included (admission through evaluate — what the caller actually
     /// waited). Measured outside the governor's deadline path and
     /// regardless of [`DbOptions::telemetry`] — purely informational;
-    /// nothing reads it back.
+    /// nothing reads it back. When the query was traced, this is its
+    /// record's `total_ns`: one clock, started once.
     pub elapsed: Duration,
     /// The portion of [`QueryResult::elapsed`] spent waiting to be
     /// scheduled: admission-queue time plus kernel state-lock
@@ -669,12 +745,6 @@ impl Database {
         self.options = options;
     }
 
-    /// Sets the WAL fsync policy (see [`DbOptions::durability`]); takes
-    /// effect on the next committed mutating query.
-    pub fn set_durability(&mut self, durability: Durability) {
-        self.options.durability = durability;
-    }
-
     /// The registered definitions, in registration order.
     pub fn definitions(&self) -> Vec<Definition> {
         self.kernel.read_state().defs.clone()
@@ -693,41 +763,6 @@ impl Database {
         self.kernel.set_durable_handle(handle);
     }
 
-    /// Sets the worker-pool size for effect-licensed parallel execution
-    /// (see [`DbOptions::parallelism`]); takes effect on the next query.
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.options.parallelism = n;
-    }
-
-    /// The current parallel worker-pool size (`0` = off).
-    pub fn parallelism(&self) -> usize {
-        self.options.parallelism
-    }
-
-    /// Enables or disables bytecode compilation of predicates and
-    /// projection heads (see [`DbOptions::compile`]); takes effect on
-    /// the next query.
-    pub fn set_compile(&mut self, on: bool) {
-        self.options.compile = on;
-    }
-
-    /// Whether the bytecode compile tier is on.
-    pub fn compile(&self) -> bool {
-        self.options.compile
-    }
-
-    /// Selects which evaluator runs subsequent queries. Parallel
-    /// execution only exists on [`Engine::Plan`]; the interpreters
-    /// ignore [`DbOptions::parallelism`] entirely.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.options.engine = engine;
-    }
-
-    /// The currently selected evaluator.
-    pub fn engine(&self) -> Engine {
-        self.options.engine
-    }
-
     /// The telemetry handles (registry, counters, histograms).
     pub fn metrics(&self) -> &DbMetrics {
         self.kernel.metrics()
@@ -743,7 +778,7 @@ impl Database {
     /// this database's telemetry. Every internally created governor
     /// comes from here, so charges and trips always land in the
     /// registry; callers wanting session-wide budgets can take one and
-    /// pass it to [`Database::query_governed`].
+    /// pass it to [`Database::run`] through [`RunArgs::governor`].
     pub fn governor(&self) -> Governor {
         Governor::new(self.options.limits).with_metrics(self.metrics().governor.clone())
     }
@@ -763,45 +798,42 @@ impl Database {
             .prepare_in(&self.options, &state, src, &mut Tracer::off())
     }
 
-    /// Runs a query end-to-end with the canonical deterministic chooser.
+    /// Runs a query end-to-end with every per-call argument defaulted:
+    /// `run(src, RunArgs::default())`.
     pub fn query(&mut self, src: &str) -> Result<QueryResult, DbError> {
-        self.query_with(src, &mut FirstChooser)
+        self.run(src, RunArgs::default())
     }
 
-    /// Runs a query end-to-end with an explicit `(ND comp)` strategy,
-    /// under a fresh per-query [`Governor`] built from
-    /// [`DbOptions::limits`].
-    pub fn query_with(
-        &mut self,
-        src: &str,
-        chooser: &mut dyn Chooser,
-    ) -> Result<QueryResult, DbError> {
-        let governor = self.governor();
-        self.query_governed(src, chooser, &governor)
-    }
-
-    /// Runs a query under a caller-supplied [`Governor`] — the caller
-    /// keeps the [`CancelToken`](ioql_eval::CancelToken) and can meter a
-    /// whole session with one budget.
+    /// Runs a query end-to-end — the embedded handle's one entry point.
+    /// `args` carries the per-call choices, each defaulted: the
+    /// `(ND comp)` strategy ([`FirstChooser`]), the governor (a fresh
+    /// one built from [`DbOptions::limits`]; pass your own to keep its
+    /// [`CancelToken`](ioql_eval::CancelToken) or meter many calls with
+    /// one budget), and the trace ID stamped into the query's record.
     ///
     /// Failure atomicity: if evaluation fails (or panics) after the
     /// query started mutating the store via `new`, the store is rolled
     /// back to its pre-query snapshot — a query is all-or-nothing. A
     /// panic in either engine is contained and surfaced as
     /// [`DbError::Internal`]; the database stays usable.
-    pub fn query_governed(
-        &mut self,
-        src: &str,
-        chooser: &mut dyn Chooser,
-        governor: &Governor,
-    ) -> Result<QueryResult, DbError> {
+    pub fn run(&mut self, src: &str, args: RunArgs<'_>) -> Result<QueryResult, DbError> {
+        let fresh;
+        let governor = match args.governor {
+            Some(g) => g,
+            None => {
+                fresh = self.governor();
+                &fresh
+            }
+        };
+        let mut first = FirstChooser;
+        let chooser = args.chooser.unwrap_or(&mut first);
         self.kernel.run_query(
             &self.options,
             src,
             chooser,
             governor,
             ExecMode::Exclusive,
-            None,
+            args.trace_id,
             None,
         )
     }
@@ -1379,6 +1411,24 @@ mod tests {
             db.query("{ p.ghost | p <- Persons }"),
             Err(DbError::Type(_))
         ));
+    }
+
+    #[test]
+    fn tracer_runs_only_when_the_record_has_a_consumer() {
+        // Nothing consumes a record: no tracer, so no tracer clock.
+        assert!(!Database::from_ddl(DDL).unwrap().kernel().tracing);
+        for opts in [
+            DbOptions {
+                telemetry: true,
+                ..DbOptions::default()
+            },
+            DbOptions {
+                trace_capacity: 1,
+                ..DbOptions::default()
+            },
+        ] {
+            assert!(Database::from_ddl_with(DDL, opts).unwrap().kernel().tracing);
+        }
     }
 
     #[test]

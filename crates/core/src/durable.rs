@@ -32,7 +32,7 @@
 //! committed queries, and that prefix contains every commit whose
 //! acknowledgement had `fsync` behind it.
 
-use crate::database::Database;
+use crate::database::{Database, RunArgs};
 use crate::error::DbError;
 use crate::kernel::DbKernel;
 use ioql_eval::ScriptedChooser;
@@ -345,7 +345,7 @@ impl Database {
         replay_opts.limits = ioql_eval::Limits::none();
         self.set_options(replay_opts);
         let mut chooser = ScriptedChooser::new(draws.to_vec());
-        let result = self.query_with(text, &mut chooser);
+        let result = self.run(text, RunArgs::default().chooser(&mut chooser));
         self.set_options(saved);
         result.map(|_| ())
     }

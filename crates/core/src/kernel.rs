@@ -48,7 +48,7 @@ use ioql_opt::{optimize as run_optimizer, AppliedRewrite, OptOptions, Stats};
 use ioql_schema::Schema;
 use ioql_store::{Durability, Store, WalPayload};
 use ioql_syntax::parse_definitions;
-use ioql_telemetry::{EventSink, FlightRecorder, Tracer};
+use ioql_telemetry::{EventSink, FlightRecorder, TraceRecord, Tracer};
 use ioql_types::{check_query, TypeEnv};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -87,6 +87,10 @@ pub struct DbKernel {
     pub(crate) metrics: DbMetrics,
     pub(crate) sink: Option<Arc<EventSink>>,
     pub(crate) recorder: Option<Arc<FlightRecorder>>,
+    /// Whether queries run a live [`Tracer`]: true when anything
+    /// consumes the finished record — a ring, the metrics registry, or
+    /// a JSONL sink.
+    pub(crate) tracing: bool,
     pub(crate) durable: RwLock<Option<Arc<Mutex<DurableLog>>>>,
     pub(crate) sched: Sched,
 }
@@ -123,6 +127,7 @@ impl DbKernel {
         recorder: Option<Arc<FlightRecorder>>,
         durable: Option<Arc<Mutex<DurableLog>>>,
     ) -> DbKernel {
+        let tracing = recorder.is_some() || sink.is_some() || metrics.registry().is_enabled();
         DbKernel {
             schema,
             method_effects,
@@ -131,6 +136,7 @@ impl DbKernel {
             metrics,
             sink,
             recorder,
+            tracing,
             durable: RwLock::new(durable),
             sched: Sched::new(),
         }
@@ -231,9 +237,9 @@ impl DbKernel {
     }
 
     /// Parses, resolves, elaborates, and effect-checks a query without
-    /// running it. The tracer (a no-op unless the caller is recording a
-    /// flight-recorder trace) gets one span per phase; spans left open
-    /// by an early error are closed when the trace is sealed.
+    /// running it. The tracer (a no-op unless something consumes the
+    /// query's record) gets one span per phase; spans left open by an
+    /// early error are closed when the trace is sealed.
     pub(crate) fn prepare_in(
         &self,
         opts: &DbOptions,
@@ -241,28 +247,22 @@ impl DbKernel {
         src: &str,
         tracer: &mut Tracer,
     ) -> Result<(Query, Type, Effect), DbError> {
-        let t = self.metrics.phase_parse.start_timer();
         let sp = tracer.begin("parse", "");
         let raw = ioql_syntax::parse_query(src)?;
         let resolved = self.schema.resolve_query(&raw);
-        self.metrics.phase_parse.observe_timer(t);
         tracer.end(sp);
-        let t = self.metrics.phase_typecheck.start_timer();
         let sp = tracer.begin("typecheck", "");
         let tenv = self.type_env_in(opts, state);
         let (elab, ty) = check_query(&tenv, &resolved)?;
-        self.metrics.phase_typecheck.observe_timer(t);
         tracer.end_with(sp, || Some(ty.to_string()));
         let discipline = if opts.require_deterministic {
             Discipline::deterministic()
         } else {
             Discipline::permissive()
         };
-        let t = self.metrics.phase_effect.start_timer();
         let sp = tracer.begin("effect-infer", "");
         let eenv = self.effect_env_in(discipline, state);
         let (ty2, eff) = infer_query(&eenv, &elab)?;
-        self.metrics.phase_effect.observe_timer(t);
         tracer.end_with(sp, || Some(format!("effect {{{eff}}}")));
         debug_assert_eq!(ty, ty2, "Figure 1 and Figure 3 disagree on a type");
         Ok((elab, ty, eff))
@@ -315,12 +315,12 @@ impl DbKernel {
     // The query path.
     // ------------------------------------------------------------------
 
-    /// Runs a query end-to-end: telemetry span, flight-recorder trace,
-    /// mode dispatch, elapsed stamp. The single entry point for the
-    /// facade, sessions, and the durable-replay path. `trace_id` is the
-    /// caller's correlation ID (wire clients send `trace=ID`), `session`
-    /// the session label — both stamped into the trace record when a
-    /// recorder is attached, and both ignored otherwise.
+    /// Runs a query end-to-end: trace, mode dispatch, elapsed stamp,
+    /// record export. The single entry point for the facade, sessions,
+    /// and the durable-replay path. `trace_id` is the caller's
+    /// correlation ID (wire clients send `trace=ID`), `session` the
+    /// session label — both stamped into the query's trace record, and
+    /// both ignored when nothing consumes it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_query(
         &self,
@@ -332,47 +332,60 @@ impl DbKernel {
         trace_id: Option<&str>,
         session: Option<&str>,
     ) -> Result<QueryResult, DbError> {
-        // The clock here feeds only `QueryResult::elapsed` and the JSONL
-        // span; the governor keeps its own deadline clock. Read
-        // unconditionally so the telemetry flag cannot shift behaviour.
+        // Read unconditionally so the telemetry flag cannot shift
+        // behaviour: this instant starts `QueryResult::elapsed` and, when
+        // tracing, the record's clock. The governor keeps its own
+        // deadline clock.
         let started = Instant::now();
         self.metrics.queries.inc();
-        let span = self
-            .sink
-            .as_ref()
-            .map(|s| (Arc::clone(s), s.span_begin_traced("query", src, trace_id)));
         // The tracer is write-only from the pipeline's view (the
-        // transparency guard extends to recording): when no recorder is
-        // attached every tracer call is one `Option` branch, no verdict
-        // string is built, and no extra clock is read.
-        let mut tracer = match &self.recorder {
-            Some(_) => Tracer::start(src, trace_id.map(String::from), session.map(String::from)),
-            None => Tracer::off(),
+        // transparency guard extends to recording): when nothing
+        // consumes the record every tracer call is one `Option` branch,
+        // no verdict string is built, and no extra clock is read.
+        let mut tracer = if self.tracing {
+            Tracer::start(
+                started,
+                src,
+                trace_id.map(String::from),
+                session.map(String::from),
+            )
+        } else {
+            Tracer::off()
         };
         let mut result = self.run_query_inner(opts, src, chooser, governor, mode, &mut tracer);
-        if let Some((sink, id)) = span {
-            sink.span_end(id, "query", result.is_ok());
-            sink.counters(self.metrics.registry());
-        }
-        if let Ok(r) = result.as_mut() {
-            r.elapsed = started.elapsed();
-        }
-        if let Some(recorder) = &self.recorder {
-            let error = result.as_ref().err().map(|e| e.to_string());
-            if let Some(record) = tracer.finish(error.is_none(), error) {
-                let seq = recorder.push(record);
-                // The threshold-gated slow-query log: the full record,
-                // as JSON, to the JSONL sink.
-                if let (Some(ms), Some(sink)) = (opts.slow_query_ms, &self.sink) {
-                    if started.elapsed() >= Duration::from_millis(ms) {
-                        if let Some(r) = recorder.by_seq(seq) {
-                            sink.slow_query(ms, &r);
-                        }
-                    }
-                }
+        let error = tracer
+            .is_on()
+            .then(|| result.as_ref().err().map(|e| e.to_string()))
+            .flatten();
+        let elapsed = match tracer.finish(result.is_ok(), error) {
+            Some(record) => {
+                let total = Duration::from_nanos(record.total_ns);
+                self.export(opts, record);
+                total
             }
+            None => started.elapsed(),
+        };
+        if let Ok(r) = result.as_mut() {
+            r.elapsed = elapsed;
         }
         result
+    }
+
+    /// Hands a finished record to every consumer: the phase and
+    /// scheduler histograms, the flight-recorder ring, and the JSONL
+    /// sink (span pair, counter snapshot, and — past
+    /// `DbOptions::slow_query_ms` — the record as a `slow_query` event).
+    fn export(&self, opts: &DbOptions, mut record: TraceRecord) {
+        self.metrics.observe_record(&record);
+        if let Some(ring) = &self.recorder {
+            ring.stamp(&mut record);
+        }
+        if let Some(sink) = &self.sink {
+            sink.export(&record, self.metrics.registry(), opts.slow_query_ms);
+        }
+        if let Some(ring) = &self.recorder {
+            ring.push(record);
+        }
     }
 
     fn run_query_inner(
@@ -416,7 +429,6 @@ impl DbKernel {
         tracer: &mut Tracer,
     ) -> Result<QueryResult, DbError> {
         let wait_started = Instant::now();
-        let wait = self.metrics.sched.wait_ns.start_timer();
         let wait_sp = tracer.begin("sched-wait", "");
         let lock_sp = tracer.begin("lock-acquire", "state-read");
         let state = self.read_state();
@@ -447,18 +459,15 @@ impl DbKernel {
             // O(objects) — and every chunk stays shared until a writer
             // path-copies it.
             let snap_sp = tracer.begin("snapshot-acquire", "");
-            let snap_timer = self.metrics.sched.snapshot_ns.start_timer();
             let (rid, snapshot_seq) = self.sched.admit_reader(&eff);
             let mut snapshot = state.clone();
-            self.metrics.sched.snapshot_ns.observe_timer(snap_timer);
-            drop(state);
             let shared = snapshot.store.chunk_count();
-            self.metrics.snapshot_chunks_shared.add(shared);
             tracer.end_with(snap_sp, || {
                 Some(format!("seq={snapshot_seq} chunks_shared={shared}"))
             });
+            drop(state);
+            self.metrics.snapshot_chunks_shared.add(shared);
             self.metrics.sched.admitted.inc();
-            self.metrics.sched.wait_ns.observe_timer(wait);
             let waited = wait_started.elapsed();
             tracer.set_wait_ns(waited.as_nanos().min(u64::MAX as u128) as u64);
             tracer.end_with(wait_sp, || {
@@ -495,7 +504,6 @@ impl DbKernel {
             let lock_sp = tracer.begin("lock-acquire", "state-write");
             let mut state = self.write_state();
             tracer.end(lock_sp);
-            self.metrics.sched.wait_ns.observe_timer(wait);
             let waited = wait_started.elapsed();
             tracer.set_wait_ns(waited.as_nanos().min(u64::MAX as u128) as u64);
             tracer.end_with(wait_sp, || {
@@ -650,10 +658,8 @@ impl DbKernel {
         });
         let cells_before = governor.cells_spent();
         if opts.optimize {
-            let t = self.metrics.phase_optimize.start_timer();
             let sp = tracer.begin("optimize", "");
             let (optimized, applied) = self.optimize_in(state, &elab);
-            self.metrics.phase_optimize.observe_timer(t);
             tracer.end_with(sp, || Some(format!("{} rewrite(s)", applied.len())));
             elab = optimized;
         }
@@ -680,10 +686,8 @@ impl DbKernel {
         // means the interpreters run the query as before.
         let plan = match engine {
             Engine::Plan => {
-                let t = self.metrics.phase_lower.start_timer();
                 let sp = tracer.begin("lower", "");
                 let plan = self.lower_in(opts, state, &elab, &static_effect, &defs);
-                self.metrics.phase_lower.observe_timer(t);
                 tracer.end_with(sp, || {
                     Some(match &plan {
                         Some(_) => "physical plan".to_string(),
@@ -757,7 +761,6 @@ impl DbKernel {
         let par_metrics = self.metrics.parallel.clone();
         let vm_metrics = self.metrics.vm.clone();
         let store = &mut state.store;
-        let exec_timer = self.metrics.phase_execute.start_timer();
         let exec_sp = tracer.begin("execute", "");
         // Contain engine panics: a bug in either evaluator must not
         // tear down the caller. `AssertUnwindSafe` is justified because
@@ -803,7 +806,6 @@ impl DbKernel {
                 }
             }
         }));
-        self.metrics.phase_execute.observe_timer(exec_timer);
         tracer.end_with(exec_sp, || Some(format!("{engine:?}")));
         let result = match outcome {
             Ok(r) => r.map_err(DbError::from),

@@ -63,7 +63,9 @@ pub mod session;
 
 pub use analysis::{Analysis, CommutationVerdict};
 pub use cache::CacheStats;
-pub use database::{Database, DbMetrics, DbOptions, Engine, QueryResult, StoreRef, StoreRefMut};
+pub use database::{
+    Database, DbMetrics, DbOptions, Engine, QueryResult, RunArgs, StoreRef, StoreRefMut,
+};
 pub use durable::{RecoveryReport, SinkFactory, WalStatus};
 pub use error::DbError;
 pub use kernel::DbKernel;

@@ -59,12 +59,13 @@ pub struct SchedMetrics {
     pub witnesses: Counter,
     /// Submission-to-admission wait (`ioql_sched_wait_ns`): the time a
     /// query spent in preparation plus (for writers) blocked on the
-    /// state write lock.
+    /// state write lock — the `sched-wait` span of its trace record.
     pub wait_ns: Histogram,
     /// Snapshot-acquire time (`ioql_sched_snapshot_ns`): the time spent
     /// stamping and spine-cloning the COW store under the read lock.
     /// With persistent extents this is `O(chunks)`, not `O(objects)` —
-    /// this histogram is where that claim is checked in production.
+    /// this histogram is where that claim is checked in production. Fed
+    /// from the `snapshot-acquire` span of each trace record.
     pub snapshot_ns: Histogram,
 }
 

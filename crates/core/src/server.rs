@@ -46,7 +46,7 @@
 //! The greeting on connect is a frame too:
 //! `ok ioql-server proto=1 session=<label>`.
 
-use crate::database::{Database, DbOptions};
+use crate::database::{Database, DbOptions, RunArgs};
 use crate::kernel::DbKernel;
 use crate::sched::Admitted;
 use crate::session::Session;
@@ -319,7 +319,11 @@ fn run_request(
             "defined.\n".into(),
         ));
     }
-    let r = session.query_traced(line, trace_id).map_err(one_line)?;
+    let args = RunArgs {
+        trace_id,
+        ..RunArgs::default()
+    };
+    let r = session.run(line, args).map_err(one_line)?;
     let (seq, mode, witness) = match &r.admitted {
         Some(Admitted::Concurrent { snapshot_seq }) => (*snapshot_seq, "snapshot", None),
         Some(Admitted::Serialized {

@@ -14,10 +14,10 @@
 //! snapshots, writers serialize with a named interference witness, and
 //! every result carries its [`Admitted`](crate::sched::Admitted) stamp.
 
-use crate::database::{DbOptions, QueryResult};
+use crate::database::{DbOptions, QueryResult, RunArgs};
 use crate::error::DbError;
 use crate::kernel::{DbKernel, ExecMode};
-use ioql_eval::{Chooser, EvalError, FirstChooser, Governor};
+use ioql_eval::{EvalError, FirstChooser, Governor};
 use std::sync::Arc;
 
 /// One client's handle on a shared kernel. Cheap to create, `Send` —
@@ -116,68 +116,42 @@ impl Session {
         self.kernel.define(&self.options, src)
     }
 
-    /// Runs a query through the admission controller with the canonical
-    /// deterministic chooser.
+    /// Runs a query through the admission controller with every
+    /// per-call argument defaulted: `run(src, RunArgs::default())`.
     pub fn query(&mut self, src: &str) -> Result<QueryResult, DbError> {
-        self.query_traced(src, None)
+        self.run(src, RunArgs::default())
     }
 
-    /// Like [`Session::query`], stamping the client-supplied trace ID
-    /// into the query's flight-recorder record (when the kernel has a
-    /// recorder). This is what the server calls for wire queries that
-    /// carried a `trace=ID` token.
-    pub fn query_traced(
-        &mut self,
-        src: &str,
-        trace_id: Option<&str>,
-    ) -> Result<QueryResult, DbError> {
-        self.query_with_traced(src, &mut FirstChooser, trace_id)
-    }
-
-    /// Runs a query through the admission controller with an explicit
-    /// `(ND comp)` strategy. Under a session budget, the shared
-    /// session governor meters the run; otherwise a fresh per-query
-    /// governor is built from [`DbOptions::limits`].
-    pub fn query_with(
-        &mut self,
-        src: &str,
-        chooser: &mut dyn Chooser,
-    ) -> Result<QueryResult, DbError> {
-        self.query_with_traced(src, chooser, None)
-    }
-
-    fn query_with_traced(
-        &mut self,
-        src: &str,
-        chooser: &mut dyn Chooser,
-        trace_id: Option<&str>,
-    ) -> Result<QueryResult, DbError> {
+    /// Runs a query through the admission controller — the session's
+    /// one entry point. `args` carries the per-call choices, each
+    /// defaulted: the `(ND comp)` strategy ([`FirstChooser`]), the
+    /// governor (the session's budget governor under
+    /// [`DbOptions::session_budget`], else a fresh per-query one from
+    /// [`DbOptions::limits`]; a caller-owned one overrides both), and
+    /// the trace ID stamped into the query's flight-recorder record —
+    /// what the server passes for wire queries carrying `trace=ID`.
+    pub fn run(&mut self, src: &str, args: RunArgs<'_>) -> Result<QueryResult, DbError> {
         self.queries += 1;
-        let label = Some(self.label.as_str());
-        let result = match &self.budget {
-            Some(governor) => self.kernel.run_query(
-                &self.options,
-                src,
-                chooser,
-                governor,
-                ExecMode::Admission,
-                trace_id,
-                label,
-            ),
-            None => {
-                let governor = Governor::new(self.options.limits)
+        let fresh;
+        let governor = match (args.governor, &self.budget) {
+            (Some(g), _) | (None, Some(g)) => g,
+            (None, None) => {
+                fresh = Governor::new(self.options.limits)
                     .with_metrics(self.kernel.metrics().governor.clone());
-                self.kernel.run_query(
-                    &self.options,
-                    src,
-                    chooser,
-                    &governor,
-                    ExecMode::Admission,
-                    trace_id,
-                    label,
-                )
+                &fresh
             }
         };
+        let mut first = FirstChooser;
+        let chooser = args.chooser.unwrap_or(&mut first);
+        let result = self.kernel.run_query(
+            &self.options,
+            src,
+            chooser,
+            governor,
+            ExecMode::Admission,
+            args.trace_id,
+            Some(self.label.as_str()),
+        );
         if let Err(DbError::Eval(EvalError::ResourceExhausted { .. } | EvalError::Cancelled)) =
             &result
         {

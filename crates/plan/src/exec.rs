@@ -24,7 +24,7 @@
 //! # Parallel execution
 //!
 //! When a plan was lowered with `parallelism ≥ 2` and a node carries a
-//! licensed [`ParVerdict`], [`execute_metered`] dispatches a
+//! licensed [`ParVerdict`], [`execute_instrumented`] dispatches a
 //! dependency-free worker pool (`std::thread::scope` — no queues, no
 //! persistent threads):
 //!
@@ -301,6 +301,16 @@ struct ParCtx<'m> {
     in_worker: bool,
 }
 
+impl ParCtx<'_> {
+    /// A pool worker's context: never re-dispatches, meters nothing
+    /// itself (the dispatcher counts its chunks).
+    const WORKER: ParCtx<'static> = ParCtx {
+        level: 0,
+        metrics: None,
+        in_worker: true,
+    };
+}
+
 /// A pipeline head as the executor sees it: the source expression
 /// (always present — delegation, error rendering, and profiling need
 /// it) and its compiled program when the compile tier accepted it.
@@ -335,26 +345,6 @@ pub fn execute(
     chooser: &mut dyn Chooser,
     max_steps: u64,
 ) -> Result<PlanResult, EvalError> {
-    execute_metered(plan, cfg, defs, store, chooser, max_steps, None)
-}
-
-/// [`execute`], with parallel-execution telemetry handles attached.
-///
-/// The handles are write-only (the transparency guard): dispatch and
-/// fallback decisions never read them, so a metered run and a bare one
-/// execute identically. Parallel dispatch itself is controlled by the
-/// *plan* (`plan.parallelism`, set at lowering) and each node's
-/// [`ParVerdict`], re-gated at run time as described in the module docs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_metered(
-    plan: &Plan,
-    cfg: &EvalConfig<'_>,
-    defs: &DefEnv,
-    store: &mut Store,
-    chooser: &mut dyn Chooser,
-    max_steps: u64,
-    metrics: Option<&ParMetrics>,
-) -> Result<PlanResult, EvalError> {
     execute_instrumented(
         plan,
         cfg,
@@ -362,17 +352,18 @@ pub fn execute_metered(
         store,
         chooser,
         max_steps,
-        ExecMetrics {
-            par: metrics,
-            vm: None,
-        },
+        ExecMetrics::default(),
     )
 }
 
-/// [`execute`], with the full set of telemetry handles — parallel
-/// dispatch *and* compiled-tier counters. The superset of
-/// [`execute_metered`], which predates the compile tier and is kept for
-/// callers that only meter parallelism.
+/// [`execute`], with telemetry handles attached — parallel dispatch and
+/// compiled-tier counters, either optional.
+///
+/// The handles are write-only (the transparency guard): dispatch and
+/// fallback decisions never read them, so a metered run and a bare one
+/// execute identically. Parallel dispatch itself is controlled by the
+/// *plan* (`plan.parallelism`, set at lowering) and each node's
+/// [`ParVerdict`], re-gated at run time as described in the module docs.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_instrumented(
     plan: &Plan,
@@ -450,20 +441,17 @@ fn execute_inner<'a>(
     par: ParCtx<'a>,
     vm_metrics: Option<&'a VmMetrics>,
 ) -> Result<(PlanResult, Option<Profiler>), EvalError> {
-    let mut ex = Exec {
+    let mut ex = Exec::new(
         cfg,
         defs,
-        chooser,
-        effect: Effect::empty(),
-        fuel: Fuel::Local(max_steps),
-        binds: Vec::new(),
-        prof,
-        par,
-        compiled: &plan.compiled,
+        &plan.compiled,
         vm_metrics,
-        vm_ctx: VmCtx::default(),
-        extent_cache: HashMap::new(),
-    };
+        chooser,
+        Fuel::Local(max_steps),
+        Vec::new(),
+        par,
+    );
+    ex.prof = prof;
     let value = ex.eval_op(store, &plan.root)?;
     Ok((
         PlanResult {
@@ -592,24 +580,16 @@ fn run_chunk<'a>(
     head: Head<'a>,
 ) -> Result<(BTreeSet<Value>, Effect), EvalError> {
     let t = metrics.map(|m| m.worker_busy_ns.start_timer());
-    let mut w = Exec {
+    let mut w = Exec::new(
         cfg,
         defs,
-        chooser: &mut *chooser,
-        effect: Effect::empty(),
-        fuel: Fuel::Shared(fuel),
-        binds,
-        prof: None,
-        par: ParCtx {
-            level: 0,
-            metrics: None,
-            in_worker: true,
-        },
         compiled,
         vm_metrics,
-        vm_ctx: VmCtx::default(),
-        extent_cache: HashMap::new(),
-    };
+        &mut *chooser,
+        Fuel::Shared(fuel),
+        binds,
+        ParCtx::WORKER,
+    );
     let mut part = BTreeSet::new();
     let elems: VecDeque<Value> = slice.iter().cloned().collect();
     let r = w.drive_gen(&mut store, var, elems, rest, head, &mut part);
@@ -636,24 +616,16 @@ fn run_branch<'a>(
     subtree: &'a Op,
 ) -> Result<(BTreeSet<Value>, Effect), EvalError> {
     let t = metrics.map(|m| m.worker_busy_ns.start_timer());
-    let mut w = Exec {
+    let mut w = Exec::new(
         cfg,
         defs,
-        chooser: &mut *chooser,
-        effect: Effect::empty(),
-        fuel: Fuel::Shared(fuel),
-        binds,
-        prof: None,
-        par: ParCtx {
-            level: 0,
-            metrics: None,
-            in_worker: true,
-        },
         compiled,
         vm_metrics,
-        vm_ctx: VmCtx::default(),
-        extent_cache: HashMap::new(),
-    };
+        &mut *chooser,
+        Fuel::Shared(fuel),
+        binds,
+        ParCtx::WORKER,
+    );
     let r = w.op_set(&mut store, subtree);
     if let Some(m) = metrics {
         m.worker_busy_ns.observe_timer(t.flatten());
@@ -693,6 +665,38 @@ struct Exec<'a, 'c, 'f> {
     /// per-scan observables (`R(C)` effect atom, cardinality
     /// observation) still fire on every scan, exactly as uncached.
     extent_cache: HashMap<ExtentName, Rc<Vec<Value>>>,
+}
+
+impl<'a, 'c, 'f> Exec<'a, 'c, 'f> {
+    /// The one constructor — for the top-level run and for each pool
+    /// worker alike: an executor with an empty effect trace, no
+    /// profiler, and fresh VM and extent scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        cfg: &'a EvalConfig<'a>,
+        defs: &'a DefEnv,
+        compiled: &'a BTreeMap<NodeId, CompileVerdict>,
+        vm_metrics: Option<&'a VmMetrics>,
+        chooser: &'c mut dyn Chooser,
+        fuel: Fuel<'f>,
+        binds: Vec<(VarName, Value)>,
+        par: ParCtx<'a>,
+    ) -> Self {
+        Exec {
+            cfg,
+            defs,
+            chooser,
+            effect: Effect::empty(),
+            fuel,
+            binds,
+            prof: None,
+            par,
+            compiled,
+            vm_metrics,
+            vm_ctx: VmCtx::default(),
+            extent_cache: HashMap::new(),
+        }
+    }
 }
 
 impl<'a> Exec<'a, '_, '_> {

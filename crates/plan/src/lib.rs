@@ -33,7 +33,7 @@
 //! a [`ParVerdict`] — Theorem 7 licenses chunked extent scans and
 //! partitioned index builds; Theorem 8 licenses concurrent set-operator
 //! branches when [`set_op_verdict`] finds the operand effects
-//! non-interfering. [`execute_metered`] dispatches `std::thread::scope`
+//! non-interfering. [`execute_instrumented`] dispatches `std::thread::scope`
 //! workers for licensed nodes (re-gated at run time — unforkable
 //! chooser, finite budgets on charged axes, or tiny inputs fall back to
 //! the sequential path, counting into [`ParMetrics`]) and is contracted
@@ -54,8 +54,8 @@ pub mod par;
 
 pub use bytecode::{compile, CompileVerdict, Program, VmCtx, VmMetrics, VmOutcome};
 pub use exec::{
-    execute, execute_instrumented, execute_metered, execute_with_profile, ExecMetrics, PlanProfile,
-    PlanResult, ProfEntry,
+    execute, execute_instrumented, execute_with_profile, ExecMetrics, PlanProfile, PlanResult,
+    ProfEntry,
 };
 pub use ir::{
     EqKind, Guard, HashIndexBuild, KeyAccess, NodeId, NodeVerdict, Op, OpKind, ParVerdict, Plan,

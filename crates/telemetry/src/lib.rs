@@ -23,9 +23,15 @@
 //!   stored name (`ioql_governor_trips_total{kind="cells"}`), which
 //!   keeps registration a single map probe and still renders as valid
 //!   Prometheus text exposition.
-//! * [`EventSink`] — a line-delimited JSON event stream (span begin/end
-//!   plus counter snapshots) with hand-rolled serialization, flushed per
-//!   event so `std::process::exit` cannot lose the tail.
+//! * [`EventSink`] — a line-delimited JSON exporter of finished
+//!   [`TraceRecord`]s (a span begin/end pair, a counter snapshot, and the
+//!   slow-query record) with hand-rolled serialization, flushed per
+//!   record so `std::process::exit` cannot lose the tail.
+//!
+//! The per-query clock is the flight recorder's [`Tracer`]: engines
+//! time phases only through it, and every timing surface — the phase
+//! histograms a kernel feeds, the JSONL lines, the ring of recent
+//! records — is derived from the finished record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -378,7 +384,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A structured JSONL event sink: one JSON object per line.
+/// A structured JSONL event sink: one JSON object per line, every line
+/// derived from a finished [`TraceRecord`] by [`EventSink::export`].
 ///
 /// Event schema (all timestamps are monotonic nanoseconds since the
 /// sink was created; `span` numbers pair a `span_begin` with its
@@ -392,8 +399,8 @@ pub fn json_escape(s: &str) -> String {
 /// {"event":"slow_query","t_ns":..,"threshold_ms":250,"record":{..TraceRecord..}}
 /// ```
 ///
-/// Every event is flushed as it is written, so the stream survives
-/// `std::process::exit` (which skips destructors).
+/// Every record's lines are flushed as they are written, so the stream
+/// survives `std::process::exit` (which skips destructors).
 #[derive(Debug)]
 pub struct EventSink {
     out: Mutex<std::io::BufWriter<std::fs::File>>,
@@ -416,66 +423,62 @@ impl EventSink {
         self.epoch.elapsed().as_nanos()
     }
 
-    fn emit(&self, line: String) {
-        if let Ok(mut w) = self.out.lock() {
-            let _ = writeln!(w, "{line}");
-            let _ = w.flush();
-        }
-    }
-
-    /// Opens a span; the returned id pairs the eventual
-    /// [`span_end`](EventSink::span_end) with this begin.
-    pub fn span_begin(&self, name: &str, detail: &str) -> u64 {
-        self.span_begin_traced(name, detail, None)
-    }
-
-    /// Opens a span carrying a caller-propagated trace ID, recorded as
-    /// a `"trace"` field on the `span_begin` event.
-    pub fn span_begin_traced(&self, name: &str, detail: &str, trace: Option<&str>) -> u64 {
+    /// Exports one finished query's [`TraceRecord`] as its event lines:
+    /// the `query` span pair (begin at the record's start, end now, both
+    /// on the sink's clock), a `counters` snapshot of `registry`, and —
+    /// when `slow_query_ms` is set and the record's `total_ns` reaches
+    /// it — the record itself as a `slow_query` event. The lines are
+    /// built and written under one lock, so a query's events stay
+    /// contiguous, and span ids and end times increase down the file,
+    /// even when sessions export concurrently.
+    pub fn export(
+        &self,
+        record: &TraceRecord,
+        registry: &MetricsRegistry,
+        slow_query_ms: Option<u64>,
+    ) {
+        let Ok(mut w) = self.out.lock() else {
+            return;
+        };
         let span = self.next_span.fetch_add(1, Ordering::Relaxed);
-        let trace_field = trace
+        let end_ns = self.t_ns();
+        let begin_ns = end_ns.saturating_sub(u128::from(record.total_ns));
+        let trace_field = record
+            .trace_id
+            .as_deref()
             .map(|t| format!(",\"trace\":\"{}\"", json_escape(t)))
             .unwrap_or_default();
-        self.emit(format!(
-            "{{\"event\":\"span_begin\",\"span\":{span},\"t_ns\":{},\"name\":\"{}\",\"detail\":\"{}\"{trace_field}}}",
-            self.t_ns(),
-            json_escape(name),
-            json_escape(detail),
-        ));
-        span
-    }
-
-    /// Emits a full flight-recorder record for a query whose total time
-    /// crossed the slow-query threshold (`DbOptions::slow_query_ms`).
-    pub fn slow_query(&self, threshold_ms: u64, record: &TraceRecord) {
-        self.emit(format!(
-            "{{\"event\":\"slow_query\",\"t_ns\":{},\"threshold_ms\":{threshold_ms},\"record\":{}}}",
-            self.t_ns(),
-            record.to_json(),
-        ));
-    }
-
-    /// Closes span `span`.
-    pub fn span_end(&self, span: u64, name: &str, ok: bool) {
-        self.emit(format!(
-            "{{\"event\":\"span_end\",\"span\":{span},\"t_ns\":{},\"name\":\"{}\",\"ok\":{ok}}}",
-            self.t_ns(),
-            json_escape(name),
-        ));
-    }
-
-    /// Emits a snapshot of every counter in `registry`.
-    pub fn counters(&self, registry: &MetricsRegistry) {
-        let body: Vec<String> = registry
+        let mut lines = vec![
+            format!(
+                "{{\"event\":\"span_begin\",\"span\":{span},\"t_ns\":{begin_ns},\"name\":\"query\",\"detail\":\"{}\"{trace_field}}}",
+                json_escape(&record.query),
+            ),
+            format!(
+                "{{\"event\":\"span_end\",\"span\":{span},\"t_ns\":{end_ns},\"name\":\"query\",\"ok\":{}}}",
+                record.ok,
+            ),
+        ];
+        let counters: Vec<String> = registry
             .counter_values()
             .into_iter()
             .map(|(k, v)| format!("\"{}\":{v}", json_escape(&k)))
             .collect();
-        self.emit(format!(
-            "{{\"event\":\"counters\",\"t_ns\":{},\"counters\":{{{}}}}}",
-            self.t_ns(),
-            body.join(",")
+        lines.push(format!(
+            "{{\"event\":\"counters\",\"t_ns\":{end_ns},\"counters\":{{{}}}}}",
+            counters.join(",")
         ));
+        if let Some(ms) = slow_query_ms {
+            if record.total_ns >= ms.saturating_mul(1_000_000) {
+                lines.push(format!(
+                    "{{\"event\":\"slow_query\",\"t_ns\":{end_ns},\"threshold_ms\":{ms},\"record\":{}}}",
+                    record.to_json(),
+                ));
+            }
+        }
+        for line in lines {
+            let _ = writeln!(w, "{line}");
+        }
+        let _ = w.flush();
     }
 }
 
@@ -612,22 +615,21 @@ lat_ns_count{phase=\"parse\"} 2
         ));
         let reg = MetricsRegistry::new(true);
         reg.counter("q_total").inc();
-        {
-            let sink = EventSink::create(&path).unwrap();
-            let span = sink.span_begin("query", "size(Ps) \"quoted\"");
-            sink.span_end(span, "query", true);
-            let traced = sink.span_begin_traced("query", "size(Qs)", Some("req-42"));
-            sink.span_end(traced, "query", true);
-            sink.counters(&reg);
-            let mut t = Tracer::start("size(Ps)", Some("req-42".into()), None);
+        let record = |query: &str, trace: Option<&str>| {
+            let mut t = Tracer::start(Instant::now(), query, trace.map(String::from), None);
             let p = t.begin("parse", "");
             t.end(p);
-            sink.slow_query(250, &t.finish(true, None).unwrap());
+            t.finish(true, None).unwrap()
+        };
+        {
+            let sink = EventSink::create(&path).unwrap();
+            sink.export(&record("size(Ps) \"quoted\"", None), &reg, None);
+            sink.export(&record("size(Qs)", Some("req-42")), &reg, Some(0));
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6, "{text}");
+        assert_eq!(lines.len(), 7, "{text}");
         assert!(
             lines[0].contains("\"event\":\"span_begin\"") && lines[0].contains("\\\"quoted\\\"")
         );
@@ -637,17 +639,24 @@ lat_ns_count{phase=\"parse\"} 2
             lines[0]
         );
         assert!(lines[1].contains("\"event\":\"span_end\"") && lines[1].contains("\"ok\":true"));
-        assert!(lines[2].contains("\"trace\":\"req-42\""), "{}", lines[2]);
-        assert!(lines[4].contains("\"counters\":{\"q_total\":1}"));
+        assert!(lines[2].contains("\"counters\":{\"q_total\":1}"));
+        assert!(lines[3].contains("\"trace\":\"req-42\""), "{}", lines[3]);
         assert!(
-            lines[5].contains("\"event\":\"slow_query\"")
-                && lines[5].contains("\"threshold_ms\":250")
-                && lines[5].contains("\"trace_id\":\"req-42\""),
+            lines[6].contains("\"event\":\"slow_query\"")
+                && lines[6].contains("\"threshold_ms\":0")
+                && lines[6].contains("\"trace_id\":\"req-42\""),
             "{}",
-            lines[5]
+            lines[6]
         );
-        // Span ids keep increasing and timestamps are monotonic.
-        assert!(lines[2].contains("\"span\":2"), "{}", lines[2]);
+        // Span ids keep increasing; a span begins no later than it ends.
+        assert!(lines[3].contains("\"span\":2"), "{}", lines[3]);
+        let t_ns = |l: &str| -> u128 {
+            let rest = &l[l.find("\"t_ns\":").unwrap() + 7..];
+            rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                .parse()
+                .unwrap()
+        };
+        assert!(t_ns(lines[0]) <= t_ns(lines[1]));
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "not an object: {l}");
         }

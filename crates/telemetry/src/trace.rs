@@ -52,7 +52,9 @@ pub struct TraceSpan {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceRecord {
     /// Recorder-assigned sequence number (1-based, monotonic across the
-    /// kernel's lifetime; assigned on insertion).
+    /// kernel's lifetime; assigned on insertion). `0` on a record that
+    /// never reached a ring (a kernel exporting to metrics or a JSONL
+    /// sink only).
     pub seq: u64,
     /// The caller-supplied correlation ID (wire clients send
     /// `trace=ID`; embedded callers may pass one programmatically).
@@ -188,10 +190,11 @@ struct TraceBuilder {
 }
 
 /// The write handle the query path threads through its phases: span
-/// begin/end plus verdict notes. Built [`Tracer::off`] when the kernel
-/// has no recorder — every method is then one `Option` branch, no clock
-/// is read, and verdict closures never run, so tracing keeps the
-/// telemetry transparency guard.
+/// begin/end plus verdict notes — the query's only clock. Built
+/// [`Tracer::off`] when nothing consumes the finished record (no ring,
+/// no metrics registry, no JSONL sink) — every method is then one
+/// `Option` branch, no clock is read, and verdict closures never run,
+/// so tracing keeps the telemetry transparency guard.
 #[derive(Debug, Default)]
 pub struct Tracer(Option<TraceBuilder>);
 
@@ -201,10 +204,17 @@ impl Tracer {
         Tracer(None)
     }
 
-    /// A live tracer for one query.
-    pub fn start(query: &str, trace_id: Option<String>, session: Option<String>) -> Tracer {
+    /// A live tracer for one query, timing from `epoch` — the instant
+    /// the caller took the query, so the record's `total_ns` and the
+    /// caller's own elapsed time share one start.
+    pub fn start(
+        epoch: Instant,
+        query: &str,
+        trace_id: Option<String>,
+        session: Option<String>,
+    ) -> Tracer {
         Tracer(Some(TraceBuilder {
-            epoch: Instant::now(),
+            epoch,
             query: query.to_string(),
             trace_id,
             session,
@@ -262,16 +272,6 @@ impl Tracer {
         }
         if let Some(pos) = b.open.iter().rposition(|i| *i == idx) {
             b.open.truncate(pos);
-        }
-    }
-
-    /// Attaches (or replaces) a verdict on an already-open span.
-    pub fn verdict(&mut self, token: Option<usize>, verdict: impl FnOnce() -> String) {
-        let (Some(b), Some(idx)) = (self.0.as_mut(), token) else {
-            return;
-        };
-        if let Some(s) = b.spans.get_mut(idx) {
-            s.verdict = Some(verdict());
         }
     }
 
@@ -363,12 +363,22 @@ impl FlightRecorder {
         self.next_seq.load(Ordering::Relaxed)
     }
 
-    /// Inserts a record, assigning its sequence number and insertion
-    /// timestamp. Returns the assigned sequence number.
-    pub fn push(&self, mut record: TraceRecord) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        record.seq = seq;
+    /// Assigns `record` the next sequence number and an insertion
+    /// timestamp — for a caller that exports the record elsewhere before
+    /// [`push`](FlightRecorder::push)ing it, so both copies agree.
+    pub fn stamp(&self, record: &mut TraceRecord) {
+        record.seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         record.t_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    }
+
+    /// Inserts a record, [`stamp`](FlightRecorder::stamp)ing it first
+    /// unless it already carries a sequence number. Returns the record's
+    /// sequence number.
+    pub fn push(&self, mut record: TraceRecord) -> u64 {
+        if record.seq == 0 {
+            self.stamp(&mut record);
+        }
+        let seq = record.seq;
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -410,7 +420,12 @@ mod tests {
     use super::*;
 
     fn sample(trace_id: Option<&str>) -> TraceRecord {
-        let mut t = Tracer::start("size(Ps)", trace_id.map(String::from), Some("s1".into()));
+        let mut t = Tracer::start(
+            Instant::now(),
+            "size(Ps)",
+            trace_id.map(String::from),
+            Some("s1".into()),
+        );
         let parse = t.begin("parse", "");
         t.end(parse);
         let exec = t.begin("execute", "");
@@ -428,13 +443,12 @@ mod tests {
         assert_eq!(tok, None);
         t.end(tok);
         t.note("cache-probe", || panic!("closure must not run when off"));
-        t.verdict(tok, || panic!("closure must not run when off"));
         assert!(t.finish(true, None).is_none());
     }
 
     #[test]
     fn spans_nest_by_open_order() {
-        let mut t = Tracer::start("q", None, None);
+        let mut t = Tracer::start(Instant::now(), "q", None, None);
         let outer = t.begin("execute", "");
         let inner = t.begin("wal-append", "");
         t.end(inner);

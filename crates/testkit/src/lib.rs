@@ -8,8 +8,8 @@
 //! * [`oracles`] — executable statements of the paper's theorems
 //!   (subject reduction, progress, effect consistency, system agreement),
 //!   applied per reduction step.
-//! * [`workloads`] — parameterised stores and queries for the Criterion
-//!   benchmarks.
+//! * [`workloads`] — parameterised stores and queries for the test
+//!   suites.
 //! * [`faults`] — seed-driven fault injection (deadline/budget/cancel
 //!   plans, a chaos chooser, dump corruption) for the robustness suite.
 

@@ -1,6 +1,6 @@
-//! Parameterised workloads for the Criterion benchmarks: stores of a
-//! requested size over the paper's schemas, plus query families whose
-//! cost scales with a knob.
+//! Parameterised workloads for the test suites: stores of a requested
+//! size over the paper's schemas, plus query families whose cost scales
+//! with a knob.
 
 use crate::fixtures::{jack_jill, persons_employees, Fixture};
 use ioql_ast::{Query, Value};

@@ -6,7 +6,7 @@
 //! cargo run --example nondeterminism
 //! ```
 
-use ioql::{Database, DbOptions, LastChooser};
+use ioql::{Database, DbOptions, LastChooser, RunArgs};
 use ioql_testkit::fixtures::{jack_jill, jack_jill_loop_query, jack_jill_query};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fx2 = jack_jill();
     let mut db2 = Database::from_schema(fx2.schema.clone(), DbOptions::default())?;
     *db2.store_mut() = fx2.store.clone();
-    let second = db2.query_with(query, &mut LastChooser)?; // Jill first
+    let second = db2.run(query, RunArgs::default().chooser(&mut LastChooser))?; // Jill first
     println!("visiting Jill first : {}", second.value);
     println!("(0 = Peter, 1 = Jack, 2 = Jill)\n");
 
@@ -72,7 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fx5 = jack_jill();
     let mut db5 = Database::from_schema(fx5.schema.clone(), opts)?;
     *db5.store_mut() = fx5.store.clone();
-    match db5.query_with(jack_jill_loop_query(), &mut LastChooser) {
+    match db5.run(
+        jack_jill_loop_query(),
+        RunArgs::default().chooser(&mut LastChooser),
+    ) {
         Err(e) => println!("visiting Jill first : {e}"),
         Ok(r) => println!("visiting Jill first : {}", r.value),
     }

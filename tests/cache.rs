@@ -18,7 +18,7 @@
 
 use ioql::{
     Chooser, Database, DbError, DbOptions, Engine, EvalError, FirstChooser, Governor, LastChooser,
-    Limits, RandomChooser, ResourceKind, Value,
+    Limits, RandomChooser, ResourceKind, RunArgs, Value,
 };
 
 const DDL: &str = "
@@ -121,10 +121,9 @@ fn governor_rollback_invalidates() {
         // A mutating query that dies on the growth budget after its
         // first `new`: failure atomicity rolls the store back.
         let governor = Governor::new(Limits::none().with_max_store_growth(1));
-        let err = db.query_governed(
+        let err = db.run(
             "{ new Person(name: n, age: n) | n <- {6, 7, 8} }",
-            &mut FirstChooser,
-            &governor,
+            RunArgs::default().governor(&governor),
         );
         assert!(
             matches!(
@@ -166,9 +165,9 @@ fn cached_and_uncached_agree_under_every_chooser_and_engine() {
             let mut warm = db_with(engine, 64);
             let mut cold = db_with(engine, 0); // caching disabled
             for q in queries {
-                let w1 = warm.query_with(q, &mut *mk()).unwrap();
-                let w2 = warm.query_with(q, &mut *mk()).unwrap();
-                let c = cold.query_with(q, &mut *mk()).unwrap();
+                let w1 = warm.run(q, RunArgs::default().chooser(&mut *mk())).unwrap();
+                let w2 = warm.run(q, RunArgs::default().chooser(&mut *mk())).unwrap();
+                let c = cold.run(q, RunArgs::default().chooser(&mut *mk())).unwrap();
                 assert!(!w1.cached && w2.cached && !c.cached, "on {q}");
                 assert_eq!(w2.value, c.value, "cached vs uncached on {q}");
                 assert_eq!(w2.runtime_effect, c.runtime_effect, "effect on {q}");
@@ -182,7 +181,7 @@ fn hits_still_pass_through_the_governor() {
     let mut db = db_with(Engine::BigStep, 64);
     // Warm the cache and learn the query's cell price.
     let governor = Governor::new(Limits::none());
-    db.query_governed(SCAN, &mut FirstChooser, &governor)
+    db.run(SCAN, RunArgs::default().governor(&governor))
         .unwrap();
     let price = governor.cells_spent();
     assert!(price > 0, "scan draws cells");
@@ -190,7 +189,7 @@ fn hits_still_pass_through_the_governor() {
     // A hit re-charges the recorded cells: a budget below the price must
     // fail even though the value is sitting in the cache.
     let broke = Governor::new(Limits::none().with_max_cells(price - 1));
-    let err = db.query_governed(SCAN, &mut FirstChooser, &broke);
+    let err = db.run(SCAN, RunArgs::default().governor(&broke));
     assert!(
         matches!(
             err,
@@ -204,14 +203,14 @@ fn hits_still_pass_through_the_governor() {
 
     // An adequate budget is charged the same price as a cold run.
     let paying = Governor::new(Limits::none().with_max_cells(price));
-    let r = db.query_governed(SCAN, &mut FirstChooser, &paying).unwrap();
+    let r = db.run(SCAN, RunArgs::default().governor(&paying)).unwrap();
     assert!(r.cached);
     assert_eq!(paying.cells_spent(), price, "hit re-charges cold cells");
 
     // Cancellation is still observed on a hit.
     let governed = Governor::new(Limits::none());
     governed.cancel_token().cancel();
-    let err = db.query_governed(SCAN, &mut FirstChooser, &governed);
+    let err = db.run(SCAN, RunArgs::default().governor(&governed));
     assert!(
         matches!(err, Err(DbError::Eval(EvalError::Cancelled))),
         "{err:?}"
@@ -233,7 +232,7 @@ fn plan_path_hits_recharge_the_plan_run_cells() {
     for engine in [Engine::Plan, Engine::BigStep, Engine::SmallStep] {
         let mut db = db_with(engine, 64);
         let governor = Governor::new(Limits::none());
-        let cold = db.query_governed(q, &mut FirstChooser, &governor).unwrap();
+        let cold = db.run(q, RunArgs::default().governor(&governor)).unwrap();
         assert!(!cold.cached);
         let price = governor.cells_spent();
         assert!(price > 0, "{engine:?}: the probe still draws cells");
@@ -241,7 +240,7 @@ fn plan_path_hits_recharge_the_plan_run_cells() {
 
         // Broke: a budget one below the recorded price fails the hit.
         let broke = Governor::new(Limits::none().with_max_cells(price - 1));
-        let err = db.query_governed(q, &mut FirstChooser, &broke);
+        let err = db.run(q, RunArgs::default().governor(&broke));
         assert!(
             matches!(
                 err,
@@ -255,7 +254,7 @@ fn plan_path_hits_recharge_the_plan_run_cells() {
 
         // Paying: the hit is served and re-charged at the cold price.
         let paying = Governor::new(Limits::none().with_max_cells(price));
-        let hot = db.query_governed(q, &mut FirstChooser, &paying).unwrap();
+        let hot = db.run(q, RunArgs::default().governor(&paying)).unwrap();
         assert!(hot.cached, "{engine:?}: second run must hit");
         assert_eq!(hot.value, cold.value);
         assert_eq!(paying.cells_spent(), price, "{engine:?}: hit re-charge");

@@ -11,7 +11,7 @@
 
 #![allow(clippy::result_large_err)]
 
-use ioql::plan::{execute_metered, lower_with, ParSpec, Plan};
+use ioql::plan::{execute_instrumented, lower_with, ExecMetrics, ParSpec, Plan};
 use ioql::{Database, DbOptions, Engine};
 use ioql_ast::Query;
 use ioql_effects::{infer_query, EffectEnv};
@@ -108,7 +108,15 @@ fn observe(
     let mut store = fx.store.clone();
     let mut inner = mk();
     let mut chooser = CountingChooser::new(&mut *inner, draws.clone());
-    let r = execute_metered(plan, &cfg, &defs, &mut store, &mut chooser, max_steps, None);
+    let r = execute_instrumented(
+        plan,
+        &cfg,
+        &defs,
+        &mut store,
+        &mut chooser,
+        max_steps,
+        ExecMetrics::default(),
+    );
     let outcome = r.map(|r| (r.value.to_string(), r.effect.to_string()));
     assert_eq!(store, fx.store, "a licensed run mutated the store");
     Observed {
@@ -189,8 +197,16 @@ fn fault_plans_hold_identically_when_compiled() {
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
             let mut chooser = spec.chooser(governor.cancel_token());
-            let r = execute_metered(plan, &cfg, &defs, &mut store, &mut chooser, 1_000_000, None)
-                .map(|r| (r.value.to_string(), r.effect.to_string()));
+            let r = execute_instrumented(
+                plan,
+                &cfg,
+                &defs,
+                &mut store,
+                &mut chooser,
+                1_000_000,
+                ExecMetrics::default(),
+            )
+            .map(|r| (r.value.to_string(), r.effect.to_string()));
             (r, governor.cells_spent())
         };
         let baseline = run(&lower_c(&fx, q, 0, false).unwrap());
@@ -267,8 +283,16 @@ fn dangling_oid_stuck_message_is_identical_compiled() {
             let defs = DefEnv::new();
             let mut store = fx.store.clone();
             let mut ch = FirstChooser;
-            execute_metered(&plan, &cfg, &defs, &mut store, &mut ch, 1_000_000, None)
-                .map(|r| r.value)
+            execute_instrumented(
+                &plan,
+                &cfg,
+                &defs,
+                &mut store,
+                &mut ch,
+                1_000_000,
+                ExecMetrics::default(),
+            )
+            .map(|r| r.value)
         };
         let interp = run(false);
         let compiled = run(true);

@@ -7,8 +7,8 @@
 //! * X4 — §4's unsound-commutation example: commuting changes the result;
 //!   the effect guard refuses; the optimizer leaves it alone.
 
-use ioql::{Database, DbOptions, Value};
-use ioql_eval::{FirstChooser, LastChooser};
+use ioql::{Database, DbOptions, RunArgs, Value};
+use ioql_eval::LastChooser;
 use ioql_testkit::fixtures::{
     self, commute_counterexample_query, jack_jill, jack_jill_loop_query, jack_jill_query,
     persons_employees, JACK, JILL, PETER,
@@ -53,13 +53,18 @@ fn x1_concrete_orders_give_paper_results() {
     // FirstChooser visits the smaller oid first — Jack (created first).
     let fx = jack_jill();
     let mut db = db_from(&fx);
-    let r = db.query_with(jack_jill_query(), &mut FirstChooser).unwrap();
+    let r = db.query(jack_jill_query()).unwrap();
     assert_eq!(r.value, int_set(&[PETER, JILL]));
     assert_eq!(db.extent_len("Fs"), 1, "side effect: one F created");
 
     let fx2 = jack_jill();
     let mut db2 = db_from(&fx2);
-    let r2 = db2.query_with(jack_jill_query(), &mut LastChooser).unwrap();
+    let r2 = db2
+        .run(
+            jack_jill_query(),
+            RunArgs::default().chooser(&mut LastChooser),
+        )
+        .unwrap();
     assert_eq!(r2.value, int_set(&[PETER, JACK]));
 }
 
@@ -103,7 +108,7 @@ fn x2_termination_depends_on_visit_order() {
     *db.store_mut() = fx.store.clone();
 
     // Jack (name = 1) first: hits `p.loop()` — diverges.
-    let r = db.query_with(jack_jill_loop_query(), &mut FirstChooser);
+    let r = db.query(jack_jill_loop_query());
     assert!(
         matches!(
             r,
@@ -119,7 +124,10 @@ fn x2_termination_depends_on_visit_order() {
     let mut db2 = Database::from_schema(fx2.schema.clone(), opts.clone()).unwrap();
     *db2.store_mut() = fx2.store.clone();
     let r2 = db2
-        .query_with(jack_jill_loop_query(), &mut LastChooser)
+        .run(
+            jack_jill_loop_query(),
+            RunArgs::default().chooser(&mut LastChooser),
+        )
         .unwrap();
     assert!(r2.value.as_set().is_some());
 }

@@ -10,7 +10,7 @@
 #![allow(clippy::result_large_err)]
 
 use ioql::plan::{execute, lower, Plan};
-use ioql::{Database, DbOptions, Engine};
+use ioql::{Database, DbOptions, Engine, RunArgs};
 use ioql_effects::{infer_query, EffectEnv};
 use ioql_eval::{
     eval_big, evaluate, Chooser, DefEnv, EvalConfig, EvalError, FirstChooser, Governor,
@@ -321,9 +321,15 @@ fn database_engine_plan_agrees_end_to_end() {
             build(Engine::SmallStep),
         ];
         for q in workload {
-            let rp = dbs[0].query_with(q, &mut *mk()).unwrap();
-            let rb = dbs[1].query_with(q, &mut *mk()).unwrap();
-            let rs = dbs[2].query_with(q, &mut *mk()).unwrap();
+            let rp = dbs[0]
+                .run(q, RunArgs::default().chooser(&mut *mk()))
+                .unwrap();
+            let rb = dbs[1]
+                .run(q, RunArgs::default().chooser(&mut *mk()))
+                .unwrap();
+            let rs = dbs[2]
+                .run(q, RunArgs::default().chooser(&mut *mk()))
+                .unwrap();
             assert_eq!(rp.value, rb.value, "plan vs big-step on {q}");
             assert_eq!(rp.value, rs.value, "plan vs small-step on {q}");
             assert_eq!(rp.runtime_effect, rb.runtime_effect, "effect on {q}");
@@ -357,11 +363,11 @@ fn database_engine_plan_respects_budgets() {
         .unwrap();
     let q = "{ p | p <- Persons, p.name = 3 }";
     let governor = Governor::new(Limits::none());
-    db.query_governed(q, &mut FirstChooser, &governor).unwrap();
+    db.run(q, RunArgs::default().governor(&governor)).unwrap();
     let price = governor.cells_spent();
     assert_eq!(price, 8, "one cell per drawn element, probe or not");
     let broke = Governor::new(Limits::none().with_max_cells(price - 1));
-    let err = db.query_governed(q, &mut FirstChooser, &broke);
+    let err = db.run(q, RunArgs::default().governor(&broke));
     assert!(
         matches!(
             err,
@@ -373,6 +379,6 @@ fn database_engine_plan_respects_budgets() {
         "{err:?}"
     );
     let paying = Governor::new(Limits::none().with_max_cells(price));
-    db.query_governed(q, &mut FirstChooser, &paying).unwrap();
+    db.run(q, RunArgs::default().governor(&paying)).unwrap();
     assert_eq!(paying.cells_spent(), price);
 }

@@ -16,7 +16,7 @@ use ioql::store::wal::{checkpoint_path, wal_path};
 use ioql::store::{equiv_stores, Store};
 use ioql::{
     Chooser, Database, DbError, DbOptions, Durability, Engine, FirstChooser, LastChooser, Mode,
-    RandomChooser, WalErrorKind,
+    RandomChooser, RunArgs, WalErrorKind,
 };
 use ioql_testkit::faults::{corrupt_dump, Corruption, CrashSink};
 use std::path::{Path, PathBuf};
@@ -254,7 +254,7 @@ fn run_until_crash(db: &mut Database, kind: ChooserKind) -> usize {
     let mut failed = false;
     for q in MUTATIONS {
         let mut chooser = kind.build();
-        match db.query_with(q, chooser.as_mut()) {
+        match db.run(q, RunArgs::default().chooser(chooser.as_mut())) {
             Ok(_) => {
                 assert!(!failed, "commit acknowledged after an append failure");
                 acked += 1;

@@ -16,7 +16,9 @@
 
 #![allow(clippy::result_large_err)] // cold-path test helpers return DbError
 
-use ioql::{Database, DbError, DbOptions, Engine, EvalError, Governor, Limits, ResourceKind};
+use ioql::{
+    Database, DbError, DbOptions, Engine, EvalError, Governor, Limits, ResourceKind, RunArgs,
+};
 use ioql_testkit::faults::{corrupt_dump, Corruption, Fault, FaultPlan};
 use ioql_testkit::ChaosChooser;
 
@@ -60,8 +62,11 @@ fn run_faulted(engine: Engine, plan: &FaultPlan) -> Result<String, DbError> {
     let mut db = db_with(engine);
     let governor = Governor::new(plan.limits());
     let mut chooser = plan.chooser(governor.cancel_token());
-    db.query_governed(FAULT_QUERY, &mut chooser, &governor)
-        .map(|r| r.value.to_string())
+    db.run(
+        FAULT_QUERY,
+        RunArgs::default().chooser(&mut chooser).governor(&governor),
+    )
+    .map(|r| r.value.to_string())
 }
 
 /// The error class each fault must produce — the query is sized so that
@@ -116,7 +121,10 @@ fn aborted_new_query_never_half_mutates_store() {
             let dump_before = db.dump();
             let governor = Governor::new(plan.limits());
             let mut chooser = plan.chooser(governor.cancel_token());
-            let r = db.query_governed(FAULT_QUERY, &mut chooser, &governor);
+            let r = db.run(
+                FAULT_QUERY,
+                RunArgs::default().chooser(&mut chooser).governor(&governor),
+            );
             assert!(r.is_err(), "seed {seed} {engine:?}: fault did not fire");
             assert_eq!(
                 db.extent_len("Persons"),
@@ -144,8 +152,11 @@ fn unfaulted_run_commits_all_mutations() {
         let mut db = db_with(engine);
         let governor = Governor::new(Limits::none());
         let mut chooser = ChaosChooser::new(7, None);
-        db.query_governed(FAULT_QUERY, &mut chooser, &governor)
-            .unwrap();
+        db.run(
+            FAULT_QUERY,
+            RunArgs::default().chooser(&mut chooser).governor(&governor),
+        )
+        .unwrap();
         assert_eq!(db.extent_len("Persons"), 4 + 8);
     }
 }
@@ -177,7 +188,7 @@ fn engine_panic_is_contained_and_rolled_back() {
             let mut db = db_with(engine);
             let before = db.dump();
             let mut chooser = PanicChooser { calls: 0, panic_at };
-            let r = db.query_with(FAULT_QUERY, &mut chooser);
+            let r = db.run(FAULT_QUERY, RunArgs::default().chooser(&mut chooser));
             match r {
                 Err(DbError::Internal(msg)) => {
                     assert!(
@@ -290,7 +301,7 @@ fn generated_stores_roundtrip_through_dump_and_file() {
             let target = g.target_type();
             let q = g.query(&target).to_string();
             let mut chooser = ioql::RandomChooser::seeded(seed * 31 + i);
-            let _ = db.query_with(&q, &mut chooser);
+            let _ = db.run(&q, RunArgs::default().chooser(&mut chooser));
         }
 
         let text = ioql::store::dump_store(&db.store());
@@ -356,7 +367,10 @@ fn fault_free_chaos_runs_agree_across_engines() {
             let governor = Governor::new(Limits::none());
             let mut chooser = ChaosChooser::new(seed, None);
             let r = db
-                .query_governed(FAULT_QUERY, &mut chooser, &governor)
+                .run(
+                    FAULT_QUERY,
+                    RunArgs::default().chooser(&mut chooser).governor(&governor),
+                )
                 .unwrap();
             (r.value.to_string(), db.dump())
         };

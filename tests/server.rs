@@ -15,7 +15,7 @@
 use ioql::store::equiv_stores;
 use ioql::{
     Admitted, Chooser, Client, Database, DbError, DbOptions, Durability, Engine, EvalError, Limits,
-    Mode,
+    Mode, RunArgs,
 };
 use ioql_testkit::faults::CrashSink;
 use std::path::{Path, PathBuf};
@@ -168,8 +168,11 @@ fn readers_overlap_and_never_block_each_other() {
             let mut chooser = BarrierChooser::new(barrier);
             // A comprehension over a populated extent, so every reader
             // draws (and therefore parks) mid-evaluation.
-            s.query_with("sum({ p.age | p <- Persons })", &mut chooser)
-                .unwrap()
+            s.run(
+                "sum({ p.age | p <- Persons })",
+                RunArgs::default().chooser(&mut chooser),
+            )
+            .unwrap()
         }));
     }
     let results: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
@@ -206,7 +209,7 @@ fn cache_isolated_from_concurrent_writers() {
         let gate = Arc::clone(&gate);
         std::thread::spawn(move || {
             let mut chooser = BarrierChooser::new(gate);
-            s.query_with(q, &mut chooser).unwrap()
+            s.run(q, RunArgs::default().chooser(&mut chooser)).unwrap()
         })
     };
     gate.wait(); // the reader is now mid-query on the old snapshot
@@ -490,7 +493,10 @@ fn concurrent_clients_equal_serialized_replay() {
 fn crash_mid_serve_recovers_every_acked_write() {
     let dir = TempDir::new("crash");
     let mut db = db_with(Engine::BigStep);
-    db.set_durability(Durability::Commit);
+    db.set_options(DbOptions {
+        durability: Durability::Commit,
+        ..db.options()
+    });
     // Budget for roughly three records, then the "disk" dies.
     db.attach_durable_with(dir.path(), CrashSink::factory(Some(400), None))
         .unwrap();
@@ -524,7 +530,10 @@ fn crash_mid_serve_recovers_every_acked_write() {
 
     // Recovery sees exactly the acked prefix.
     let mut rec = db_with(Engine::BigStep);
-    rec.set_durability(Durability::Commit);
+    rec.set_options(DbOptions {
+        durability: Durability::Commit,
+        ..rec.options()
+    });
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.replayed_queries, acked.len() as u64);
     let mut expected = db_with(Engine::BigStep);
@@ -544,7 +553,10 @@ fn crash_mid_serve_recovers_every_acked_write() {
 fn multi_client_writes_compose_with_group_commit() {
     let dir = TempDir::new("batch");
     let mut db = db_with(Engine::BigStep);
-    db.set_durability(Durability::Batch(4));
+    db.set_options(DbOptions {
+        durability: Durability::Batch(4),
+        ..db.options()
+    });
     db.attach_durable(dir.path()).unwrap();
     let mut server = db.serve("127.0.0.1:0").unwrap();
     let addr = server.addr();
@@ -581,7 +593,10 @@ fn multi_client_writes_compose_with_group_commit() {
     drop(db);
 
     let mut rec = db_with(Engine::BigStep);
-    rec.set_durability(Durability::Batch(4));
+    rec.set_options(DbOptions {
+        durability: Durability::Batch(4),
+        ..rec.options()
+    });
     let report = rec.attach_durable(dir.path()).unwrap();
     assert_eq!(report.generation, 1);
     assert!(report.checkpoint_loaded);

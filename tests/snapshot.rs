@@ -11,7 +11,7 @@
 #![allow(clippy::result_large_err)]
 
 use ioql::store::{equiv_stores, load_store_file, save_store};
-use ioql::{Admitted, Chooser, Database, DbOptions, Durability, Engine, Limits, Mode};
+use ioql::{Admitted, Chooser, Database, DbOptions, Durability, Engine, Limits, Mode, RunArgs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -151,7 +151,9 @@ fn reader_on_snapshot_is_byte_identical_to_solo_run() {
                             barrier: gate,
                             waited: false,
                         };
-                        let r = s.query_with(READER, &mut chooser).unwrap();
+                        let r = s
+                            .run(READER, RunArgs::default().chooser(&mut chooser))
+                            .unwrap();
                         (r, s.budget_spent().unwrap())
                     })
                 };

@@ -8,7 +8,7 @@
 //! jitter, which would make off-vs-on comparison flaky for reasons that
 //! have nothing to do with telemetry.
 
-use ioql::{Database, DbOptions, Engine, Limits, RandomChooser, Value};
+use ioql::{Database, DbOptions, Engine, Limits, RandomChooser, RunArgs, Value};
 use ioql_testkit::workloads;
 use std::path::PathBuf;
 
@@ -57,7 +57,10 @@ fn run_workload(engine: Engine, telemetry: bool, jsonl: Option<PathBuf>) -> Vec<
         // Twice per query: the second run of a cacheable query hits.
         for round in 0..2u64 {
             let mut chooser = RandomChooser::seeded(1_000 + i as u64 * 10 + round);
-            match db.query_governed(q, &mut chooser, &governor) {
+            match db.run(
+                q,
+                RunArgs::default().chooser(&mut chooser).governor(&governor),
+            ) {
                 Ok(r) => lines.push(format!(
                     "ok value={} ty={} static={{{}}} runtime={{{}}} steps={} cached={}",
                     r.value, r.ty, r.static_effect, r.runtime_effect, r.steps, r.cached
@@ -290,4 +293,126 @@ fn elapsed_is_reported_outside_the_governor_path() {
     assert!(hit.cached);
     // Cached results still report a (small) wall-clock elapsed.
     assert!(hit.elapsed.as_nanos() > 0);
+}
+
+/// The value of `"key":<digits>` in one JSONL line.
+fn json_u128(line: &str, key: &str) -> u128 {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat).unwrap_or_else(|| panic!("{key} in {line}")) + pat.len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().unwrap()
+}
+
+#[test]
+fn one_record_three_views() {
+    // One query with telemetry, a ring and a JSONL sink attached: the
+    // sink's lines, the phase histograms and the ring's record are all
+    // derived from the same finished trace record.
+    let path = temp_path("three-views");
+    let opts = DbOptions {
+        engine: Engine::Plan,
+        telemetry: true,
+        telemetry_jsonl: Some(path.clone()),
+        trace_capacity: 4,
+        slow_query_ms: Some(0),
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 6, 5);
+    let phases = [
+        "parse",
+        "typecheck",
+        "effect-infer",
+        "optimize",
+        "lower",
+        "execute",
+    ];
+    let histogram = |db: &Database, phase: &str| {
+        let h = db
+            .metrics()
+            .registry()
+            .histogram(&format!("ioql_phase_duration_ns{{phase=\"{phase}\"}}"));
+        (h.count(), h.sum_ns())
+    };
+    let before: Vec<_> = phases.iter().map(|p| histogram(&db, p)).collect();
+    let q = "{ x.name | x <- Ps, x.name < 4 }";
+    db.run(q, RunArgs::default().trace_id("views-1")).unwrap();
+    let record = db.traces_last(1).pop().expect("the ring holds the record");
+    assert_eq!(record.trace_id.as_deref(), Some("views-1"));
+
+    // View 1: each phase histogram moved by exactly the record's spans
+    // of that phase — count and nanoseconds.
+    for (phase, (count0, sum0)) in phases.iter().zip(before) {
+        let spans: Vec<_> = record.spans.iter().filter(|s| s.name == *phase).collect();
+        let (count, sum) = histogram(&db, phase);
+        assert_eq!(count - count0, spans.len() as u64, "{phase} count");
+        assert_eq!(
+            sum - sum0,
+            spans.iter().map(|s| s.dur_ns).sum::<u64>(),
+            "{phase} sum"
+        );
+    }
+    for phase in ["parse", "typecheck", "effect-infer", "lower", "execute"] {
+        assert!(
+            record.spans.iter().any(|s| s.name == phase),
+            "no {phase} span in {record:?}"
+        );
+    }
+
+    // View 2: the JSONL lines are the same record — the span pair
+    // brackets its total, and the slow-query event carries it whole.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let lines: Vec<&str> = text.lines().collect();
+    let begin = lines
+        .iter()
+        .find(|l| l.contains("\"event\":\"span_begin\""))
+        .unwrap();
+    let end = lines
+        .iter()
+        .find(|l| l.contains("\"event\":\"span_end\""))
+        .unwrap();
+    assert!(begin.contains(&format!("\"detail\":\"{q}\"")), "{begin}");
+    assert!(begin.contains("\"trace\":\"views-1\""), "{begin}");
+    assert!(end.contains("\"ok\":true"), "{end}");
+    assert_eq!(json_u128(begin, "span"), json_u128(end, "span"));
+    assert_eq!(
+        json_u128(end, "t_ns") - json_u128(begin, "t_ns"),
+        u128::from(record.total_ns)
+    );
+    let slow = lines
+        .iter()
+        .find(|l| l.contains("\"event\":\"slow_query\""))
+        .unwrap();
+    assert!(
+        slow.ends_with(&format!("\"record\":{}}}", record.to_json())),
+        "{slow}\nvs ring record {}",
+        record.to_json()
+    );
+}
+
+#[test]
+fn slow_query_is_exported_without_a_ring() {
+    let path = temp_path("slow-no-ring");
+    let opts = DbOptions {
+        telemetry_jsonl: Some(path.clone()),
+        trace_capacity: 0,
+        slow_query_ms: Some(0),
+        ..DbOptions::default()
+    };
+    let mut db = db_with(opts, 4, 2);
+    db.query("size(Ps)").unwrap();
+    assert!(db.flight_recorder().is_none() && db.traces_last(1).is_empty());
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let slow: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"event\":\"slow_query\""))
+        .collect();
+    assert_eq!(slow.len(), 1, "{text}");
+    // No ring assigned a sequence number; the spans are all there.
+    assert!(slow[0].contains("\"record\":{\"seq\":0,"), "{}", slow[0]);
+    assert!(slow[0].contains("\"query\":\"size(Ps)\""), "{}", slow[0]);
+    assert!(slow[0].contains("\"name\":\"execute\""), "{}", slow[0]);
 }
